@@ -50,7 +50,7 @@ main(int argc, char **argv)
         const std::string ag =
             measure(ctx, "astrea_g", &ag_stats);
         const std::string clique =
-            measure(ctx, "clique_mwpm", nullptr);
+            measure(ctx, "clique+mwpm", nullptr);
         const std::string uf =
             measure(ctx, "union_find", &uf_stats);
         // Derived columns of filtered-out configs print "-" like

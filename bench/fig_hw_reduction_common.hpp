@@ -46,8 +46,8 @@ runHwReduction(Bench &bench, int distance)
     auto run = [&](const char *config,
                    qec::WeightedHistogram &after, double &above10,
                    bool record_before) {
-        auto decoder = qec::makeDecoder(config, ctx.graph(),
-                                        ctx.paths());
+        auto decoder = qec::build(qec::DecoderSpec::parse(config),
+                                  ctx.graph(), ctx.paths());
         qec::estimateLer(
             ctx, *decoder, options,
             [&](const qec::SampleView &view) {
@@ -66,9 +66,9 @@ runHwReduction(Bench &bench, int distance)
                 }
             });
     };
-    run("promatch_astrea", after_promatch, above10_pm, true);
-    run("smith_astrea", after_smith, above10_smith, false);
-    run("pinball_astrea", after_pinball, above10_pinball, false);
+    run("promatch+astrea", after_promatch, above10_pm, true);
+    run("smith+astrea", after_smith, above10_smith, false);
+    run("pinball+astrea", after_pinball, above10_pinball, false);
 
     qec::ReportTable table(
         "HW distribution before/after predecoding, d = " +

@@ -57,8 +57,7 @@ printStageBreakdown(Bench &bench, const ExperimentContext &ctx,
                     const LerOptions &options,
                     const std::string &note_prefix = "")
 {
-    const DecoderSpec spec =
-        DecoderSpec::parse(specForName(config));
+    const DecoderSpec spec = DecoderSpec::parse(config);
     LatencyConfig latency;
     PromatchConfig promatch;
     PinballConfig pinball;
@@ -178,7 +177,8 @@ printBatchBreakdown(Bench &bench, const ExperimentContext &ctx,
                     const LerOptions &options,
                     const std::string &note_prefix = "")
 {
-    auto decoder = makeDecoder(config, ctx.graph(), ctx.paths());
+    auto decoder =
+        build(DecoderSpec::parse(config), ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), options.kMax);
 
     // One fixed syndrome stream, same counter-based draws as the
@@ -278,7 +278,7 @@ peakRssMb()
  * rows) vs the `sparse` local-growth matcher running on a DeferPairs
  * table, on identical importance-sampled syndrome streams at
  * d in {11, 13, 17}, followed by an end-to-end d = 21
- * promatch_sparse LER run on a deferred table — the configuration
+ * promatch+sparse LER run on a deferred table — the configuration
  * the dense matcher cannot reach without a 187 MB O(V^2) build.
  *
  * Sample counts here are fixed internally and deliberately ignore
@@ -315,10 +315,10 @@ printSparseHighDistance(Bench &bench, int threads)
             }
         }
 
-        auto dense_dec =
-            makeDecoder("mwpm", ctx.graph(), ctx.paths());
-        auto sparse_dec =
-            makeDecoder("sparse", ctx.graph(), deferred);
+        auto dense_dec = build(DecoderSpec::parse("mwpm"),
+                               ctx.graph(), ctx.paths());
+        auto sparse_dec = build(DecoderSpec::parse("sparse"),
+                                ctx.graph(), deferred);
         const auto time_stream = [&](Decoder &decoder) {
             DecodeWorkspace ws;
             for (const auto &s : stream) { // Warm the workspace.
@@ -370,8 +370,8 @@ printSparseHighDistance(Bench &bench, int threads)
     // ever allocated in this context (the DeferPairs assert in
     // PathTable::index() enforces it; a dense read would abort).
     const ExperimentContext d21(21, 1e-4, -1, true);
-    auto decoder =
-        makeDecoder("promatch_sparse", d21.graph(), d21.paths());
+    auto decoder = build(DecoderSpec::parse("promatch+sparse"),
+                         d21.graph(), d21.paths());
     LerOptions options;
     options.kMax = 12;
     options.samplesPerK = std::min<uint64_t>(scaledSamples(30), 60);
@@ -392,7 +392,7 @@ printSparseHighDistance(Bench &bench, int threads)
     const double deferred_kb =
         static_cast<double>(dets) * sizeof(PathCell) / 1024.0;
     ReportTable t21(
-        "d = 21 end-to-end, promatch_sparse on a DeferPairs table",
+        "d = 21 end-to-end, promatch+sparse on a DeferPairs table",
         {"detectors", "pair table", "dense would be", "samples",
          "wall s", "samples/s", "LER"});
     t21.addRow({std::to_string(dets),
@@ -409,7 +409,7 @@ printSparseHighDistance(Bench &bench, int threads)
     bench.note("d21_dense_table_mb_avoided", avoided_mb);
     bench.note("peak_rss_mb", peakRssMb());
     std::printf(
-        "  done: d=21 promatch_sparse (peak RSS %.0f MB; includes "
+        "  done: d=21 promatch+sparse (peak RSS %.0f MB; includes "
         "the d=17 dense\n  comparison table built above, which a "
         "sparse-only run never allocates)\n",
         peakRssMb());
@@ -432,17 +432,17 @@ printPredecoderComparison(Bench &bench,
     options.collectTraces = true;
     ReportTable table(
         "Predecoder accuracy/coverage, d = 11, p = 1e-4 "
-        "(pinball_mwpm: MWPM cleanup reference)",
+        "(pinball+mwpm: MWPM cleanup reference)",
         {"stack", "LER", "engaged", "coverage",
          "local-resolve"});
     for (const char *config :
-         {"promatch_astrea", "clique_astrea", "smith_astrea",
-          "pinball_astrea", "pinball_mwpm"}) {
+         {"promatch+astrea", "clique+astrea", "smith+astrea",
+          "pinball+astrea", "pinball+mwpm"}) {
         if (!bench.specEnabled(config)) {
             continue;
         }
-        auto decoder =
-            makeDecoder(config, ctx.graph(), ctx.paths());
+        auto decoder = build(DecoderSpec::parse(config), ctx.graph(),
+                             ctx.paths());
         double weight_total = 0.0, weight_engaged = 0.0;
         double hw_before = 0.0, hw_after = 0.0;
         double weight_local = 0.0;
@@ -491,10 +491,9 @@ main(int argc, char **argv)
                 "parallel LER engine scaling, d = 11");
 
     const auto &ctx = ExperimentContext::get(11, 1e-4);
-    const std::string config =
-        bench.specOr("promatch_astrea");
+    const std::string config = bench.specOr("promatch+astrea");
     auto decoder =
-        makeDecoder(config, ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse(config), ctx.graph(), ctx.paths());
 
     LerOptions options = bench.lerOptions(600);
     const int max_threads = options.resolvedThreads();
@@ -582,19 +581,19 @@ main(int argc, char **argv)
     // accuracy/coverage table (a --spec filter narrows the run to
     // that configuration only, so the extra breakdown is skipped).
     if (bench.cli().spec.empty()) {
-        printStageBreakdown(bench, ctx, "pinball_astrea", options,
+        printStageBreakdown(bench, ctx, "pinball+astrea", options,
                             "pinball_");
         // Pinball is the stack where the lane-parallel word kernel
         // engages (Promatch's predecoder falls back to the serial
         // per-lane loop), so its batch ratio is the one that tracks
         // the bit-parallel predecode win.
-        printBatchBreakdown(bench, ctx, "pinball_astrea", options,
+        printBatchBreakdown(bench, ctx, "pinball+astrea", options,
                             "pinball_");
         // Sparse-matcher stack at the same d = 11 operating point:
         // its stage_match_share is the headline the sparse matching
         // core is accountable for (compared against the dense
         // stack's stage_match_share by CI's bench-smoke guard).
-        printStageBreakdown(bench, ctx, "promatch_sparse", options,
+        printStageBreakdown(bench, ctx, "promatch+sparse", options,
                             "sparse_");
         // The exact dense matcher behind the same predecoder is the
         // apples-to-apples baseline the sparse core replaces (the

@@ -77,16 +77,18 @@ BENCHMARK(BM_PathTableBuild)->Arg(5)->Arg(9)->Unit(
     benchmark::kMillisecond);
 
 void
-decoderBench(benchmark::State &state, const char *name)
+decoderBench(benchmark::State &state, const char *spec)
 {
     const auto &ctx = ExperimentContext::get(13, 1e-4);
-    auto decoder = makeDecoder(name, ctx.graph(), ctx.paths());
+    auto decoder =
+        build(DecoderSpec::parse(spec), ctx.graph(), ctx.paths());
     const auto syndromes = sampleSyndromes(
         ctx, static_cast<int>(state.range(0)), 64);
+    DecodeWorkspace workspace;
     size_t i = 0;
     for (auto _ : state) {
-        const DecodeResult result =
-            decoder->decode(syndromes[i++ % syndromes.size()]);
+        const DecodeResult result = decoder->decode(
+            syndromes[i++ % syndromes.size()], workspace);
         benchmark::DoNotOptimize(result.predictedObs);
     }
     state.SetItemsProcessed(state.iterations());
@@ -102,7 +104,7 @@ BENCHMARK(BM_DecodeMwpm)->Arg(4)->Arg(8)->Arg(16);
 void
 BM_DecodePromatchAstrea(benchmark::State &state)
 {
-    decoderBench(state, "promatch_astrea");
+    decoderBench(state, "promatch+astrea");
 }
 BENCHMARK(BM_DecodePromatchAstrea)->Arg(4)->Arg(8)->Arg(16);
 
@@ -126,8 +128,8 @@ BM_DecodeBatchThreads(benchmark::State &state)
     // Threaded batch decode over per-worker clones: the scaling
     // knob behind LerOptions::threads.
     const auto &ctx = ExperimentContext::get(13, 1e-4);
-    auto decoder =
-        makeDecoder("promatch_astrea", ctx.graph(), ctx.paths());
+    auto decoder = build(DecoderSpec::parse("promatch+astrea"),
+                         ctx.graph(), ctx.paths());
     const auto batch = sampleSyndromes(ctx, 10, 256);
     const int threads = static_cast<int>(state.range(0));
     for (auto _ : state) {

@@ -34,8 +34,8 @@ main(int argc, char **argv)
         double paper11;
         double paper13;
     } rows[] = {
-        {"clique_astrea", "Clique + Astrea", 2.2e-5, 1e-4},
-        {"clique_ag", "Clique + AG", 4.5e-13, 1.4e-13},
+        {"clique+astrea", "Clique + Astrea", 2.2e-5, 1e-4},
+        {"clique+astrea_g", "Clique + AG", 4.5e-13, 1.4e-13},
         {"astrea_g", "Astrea-G (AG)", 4.5e-13, 1.4e-13},
     };
 
@@ -52,7 +52,7 @@ main(int argc, char **argv)
         if (std::string(row.config) == "astrea_g") {
             ler_ag11 = l11;
             ler_ag13 = l13;
-        } else if (std::string(row.config) == "clique_ag") {
+        } else if (std::string(row.config) == "clique+astrea_g") {
             ler_cag11 = l11;
             ler_cag13 = l13;
         }
@@ -66,7 +66,7 @@ main(int argc, char **argv)
     // The paired comparison only means something when both configs
     // actually ran (--spec can filter either out).
     if (bench.specEnabled("astrea_g") &&
-        bench.specEnabled("clique_ag")) {
+        bench.specEnabled("clique+astrea_g")) {
         std::printf("\nShape checks:\n"
                     " - Clique+Astrea sits at the physical-error "
                     "scale (paper: ~1e-5 .. >1e-4):\n"

@@ -1,6 +1,7 @@
 /**
  * @file
- * Decoder showdown: every decoder configuration in the library runs
+ * Decoder showdown: the paper's decoder configurations plus the
+ * sparse and Pinball stacks, each given as a DecoderSpec string, run
  * on the same stream of stressed syndromes (the workloads the
  * paper's introduction motivates — high-HW syndromes beyond the
  * reach of brute-force RT-MWPM), and reports accuracy, abort rate,
@@ -38,14 +39,35 @@ main(int argc, char **argv)
         "Decoder showdown (identical syndrome stream)",
         {"decoder", "errors", "aborts", "avg latency", "max "
          "latency", "avg weight"});
-    for (const std::string &name : qec::decoderNames()) {
-        auto decoder =
-            qec::makeDecoder(name, ctx.graph(), ctx.paths());
+    const char *specs[] = {
+        "mwpm",
+        "sparse",
+        "astrea",
+        "astrea_g",
+        "union_find",
+        "promatch+astrea",
+        "smith+astrea",
+        "clique+astrea",
+        "hierarchical+astrea",
+        "clique+mwpm",
+        "clique+astrea_g",
+        "promatch+astrea||astrea_g",
+        "smith+astrea||astrea_g",
+        "promatch+sparse",
+        "pinball+sparse",
+        "pinball+astrea",
+        "pinball+mwpm",
+        "pinball+astrea||astrea_g",
+    };
+    qec::DecodeWorkspace workspace; // Reused across every decoder.
+    for (const char *spec : specs) {
+        auto decoder = qec::build(qec::DecoderSpec::parse(spec),
+                                  ctx.graph(), ctx.paths());
         int errors = 0, aborts = 0;
         qec::WeightedStats latency, weight;
         for (const auto &sample : stream) {
             const qec::DecodeResult result =
-                decoder->decode(sample.defects);
+                decoder->decode(sample.defects, workspace);
             if (result.aborted) {
                 ++aborts;
                 ++errors;

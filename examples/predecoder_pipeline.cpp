@@ -44,8 +44,10 @@ main(int argc, char **argv)
                                      latency);
     const long long budget = static_cast<long long>(
         latency.effectiveBudgetNs() / latency.nsPerCycle);
-    const qec::PredecodeResult pre =
-        promatch.predecode(sample.defects, budget);
+    // Caller-owned scratch, reused by every decode below.
+    qec::DecodeWorkspace workspace;
+    qec::PredecodeResult pre;
+    promatch.predecode(sample.defects, budget, workspace, pre);
     std::printf("\nPromatch predecode:\n"
                 "  rounds           : %d\n"
                 "  cycles           : %lld (%.0f ns)\n"
@@ -63,24 +65,25 @@ main(int argc, char **argv)
     // --- Astrea on the residual.
     qec::AstreaDecoder astrea(ctx.graph(), ctx.paths(), latency);
     const qec::DecodeResult main_result =
-        astrea.decode(pre.residual);
+        astrea.decode(pre.residual, workspace);
     std::printf("\nAstrea on residual (HW %zu): latency %.0f ns, "
                 "weight %.2f\n",
                 pre.residual.size(), main_result.latencyNs,
                 main_result.weight);
 
     // --- The assembled pipeline and the parallel combination.
-    auto pipeline = qec::makeDecoder("promatch_astrea",
-                                     ctx.graph(), ctx.paths());
-    auto parallel = qec::makeDecoder("promatch_par_ag",
-                                     ctx.graph(), ctx.paths());
-    auto mwpm =
-        qec::makeDecoder("mwpm", ctx.graph(), ctx.paths());
+    const auto stack = [&](const char *spec) {
+        return qec::build(qec::DecoderSpec::parse(spec), ctx.graph(),
+                          ctx.paths());
+    };
+    auto pipeline = stack("promatch+astrea");
+    auto parallel = stack("promatch+astrea||astrea_g");
+    auto mwpm = stack("mwpm");
 
     for (auto *decoder :
          {pipeline.get(), parallel.get(), mwpm.get()}) {
         const qec::DecodeResult result =
-            decoder->decode(sample.defects);
+            decoder->decode(sample.defects, workspace);
         const bool ok = !result.aborted &&
                         result.predictedObs == sample.obsMask;
         std::printf("%-26s weight %7.2f  latency %6.1f ns  %s\n",

@@ -11,8 +11,8 @@
  *                "promatch+astrea||astrea_g?hw_threshold=10"),
  *            ctx.graph(), ctx.paths());
  *
- * Adding a new component never touches this file or the factory: a
- * new predecoder drops one .cpp with a registration object and is
+ * Adding a new component never touches this file: a new
+ * predecoder drops one .cpp with a registration object and is
  * immediately reachable from every spec string (recipe in
  * docs/api.md). The registry is guarded by a mutex, so concurrent
  * build() calls from a threaded harness are safe.

@@ -10,16 +10,6 @@
 namespace qec
 {
 
-// Out of line: DecodeWorkspace is only forward-declared in the
-// header, so the unique_ptr needs the full type here.
-Decoder::Decoder(const DecodingGraph &graph,
-                 const PathTable &paths)
-    : graph_(graph), paths_(paths)
-{
-}
-
-Decoder::~Decoder() = default;
-
 // Outlined so the audited decode bodies carry one call to a symbol
 // the allowlist exempts: clearing `children` destroys whole child
 // traces (heap-backed vectors), which is trace-path-only work that
@@ -40,22 +30,6 @@ DecodeTrace::reset()
     chainLengths.clear();
     correctionEdges.clear();
     children.clear();
-}
-
-DecodeWorkspace &
-Decoder::internalWorkspace()
-{
-    if (!workspace_) {
-        workspace_ = std::make_unique<DecodeWorkspace>();
-    }
-    return *workspace_;
-}
-
-DecodeResult
-Decoder::decode(std::span<const uint32_t> defects,
-                DecodeTrace *trace)
-{
-    return decode(defects, internalWorkspace(), trace);
 }
 
 void
@@ -92,13 +66,13 @@ Decoder::decodeBlock(std::span<const uint64_t> detectorWords,
 }
 
 WorkerDecoders::WorkerDecoders(Decoder &source, int workers)
-    : source_(source),
-      sourceWorkspace_(source.internalWorkspace())
+    : source_(source)
 {
     for (int w = 1; w < workers; ++w) {
         clones_.push_back(source.clone());
-        workspaces_.push_back(
-            std::make_unique<DecodeWorkspace>());
+    }
+    for (int w = 0; w < workers; ++w) {
+        workspaces_.push_back(std::make_unique<DecodeWorkspace>());
     }
 }
 
@@ -113,8 +87,8 @@ Decoder::decodeBatch(const std::vector<std::vector<uint32_t>> &batch,
         traces->assign(batch.size(), DecodeTrace{});
     }
     // Each worker decodes on its own engine and workspace (worker
-    // 0, which parallelFor runs on the calling thread, reuses this
-    // instance; see WorkerDecoders), so no mutable decoder state is
+    // 0, which parallelFor runs on the calling thread, decodes on
+    // this instance; see WorkerDecoders), so no mutable state is
     // shared and results land at the same indices as their
     // syndromes — bit-identical to a serial run.
     const WorkerDecoders engines(

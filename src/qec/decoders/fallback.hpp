@@ -80,7 +80,6 @@ class FallbackDecoder : public Decoder
                     std::vector<std::unique_ptr<Decoder>> tiers,
                     FallbackConfig config = {});
 
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;
@@ -128,7 +127,6 @@ class PredecodeCommitDecoder : public Decoder
                            std::unique_ptr<Predecoder> predecoder,
                            LatencyConfig latency = {});
 
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;

@@ -21,7 +21,6 @@ class MwpmDecoder : public Decoder
   public:
     using Decoder::Decoder;
 
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;

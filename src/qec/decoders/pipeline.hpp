@@ -41,7 +41,6 @@ class PredecodedDecoder : public Decoder
     {
     }
 
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;

@@ -41,7 +41,6 @@ class UnionFindDecoder : public Decoder
      * Uses decoder-owned scratch; the workspace is passed through
      * for interface uniformity only.
      */
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;

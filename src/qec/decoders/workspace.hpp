@@ -13,11 +13,10 @@
  *
  * Ownership and aliasing contract:
  *  - One workspace per thread: a workspace must never be used by
- *    two threads at once. The batched harness allocates one per
- *    worker (see WorkerDecoders); decoders also keep a lazily
- *    created internal workspace so the workspace-less `decode()`
- *    overload keeps working (and stays allocation-free too, since
- *    clones — one per worker — never share it).
+ *    two threads at once. Decoders own none; every workspace has
+ *    one explicit owner — the caller, WorkerDecoders (one per
+ *    batched-harness worker), or a StreamingDecoder (one per serve
+ *    worker).
  *  - Composite decoders pass the *same* workspace down to their
  *    children; the members are used strictly sequentially (the
  *    predecoder finishes with `subgraph` before the main decoder

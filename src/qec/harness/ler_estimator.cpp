@@ -21,6 +21,10 @@ LerEstimate
 estimateLer(const ExperimentContext &context, Decoder &decoder,
             const LerOptions &options, const SampleObserver &observer)
 {
+    // Trusted-caller contract: with no samples every P_f(k) would
+    // be 0/0 and the Eq. 1 sum would silently come back NaN.
+    QEC_ASSERT(options.samplesPerK >= 1,
+               "estimateLer needs samplesPerK >= 1");
     ImportanceSampler sampler(context.dem(), options.kMax);
     // parallelFor resolves threads <= 0 to hardware concurrency.
     const int threads = options.threads;
@@ -28,8 +32,9 @@ estimateLer(const ExperimentContext &context, Decoder &decoder,
 
     // One engine per worker (worker 0 = the original decoder on
     // the calling thread, the rest clones created serially up
-    // front), each with its own DecodeWorkspace, reused across
-    // every k-batch — steady-state decoding allocates nothing.
+    // front), each with its own DecodeWorkspace owned by `engines`
+    // and reused across every k-batch — steady-state decoding
+    // allocates nothing.
     const int workers = parallelWorkers(n, threads);
     const WorkerDecoders engines(decoder, workers);
 

@@ -25,7 +25,6 @@ class CliquePredecoder : public Predecoder
   public:
     using Predecoder::Predecoder;
 
-    using Predecoder::predecode;
     void predecode(std::span<const uint32_t> defects,
                    long long cycle_budget,
                    DecodeWorkspace &workspace,

@@ -64,7 +64,6 @@ class PinballPredecoder : public Predecoder
                       const PathTable &paths,
                       const PinballConfig &config = {});
 
-    using Predecoder::predecode;
     void predecode(std::span<const uint32_t> defects,
                    long long cycle_budget,
                    DecodeWorkspace &workspace,

@@ -10,28 +10,6 @@
 namespace qec
 {
 
-// Out of line: DecodeWorkspace is only forward-declared where the
-// interface is defined.
-Predecoder::Predecoder(const DecodingGraph &graph,
-                       const PathTable &paths)
-    : graph_(graph), paths_(paths)
-{
-}
-
-Predecoder::~Predecoder() = default;
-
-PredecodeResult
-Predecoder::predecode(std::span<const uint32_t> defects,
-                      long long cycle_budget)
-{
-    if (!workspace_) {
-        workspace_ = std::make_unique<DecodeWorkspace>();
-    }
-    PredecodeResult result;
-    predecode(defects, cycle_budget, *workspace_, result);
-    return result;
-}
-
 void
 Predecoder::predecodeBlock(std::span<const uint64_t> detectorWords,
                            uint64_t laneMask, long long cycle_budget,

@@ -10,11 +10,10 @@
  *
  * Like decoders, predecoders keep no per-call state (everything the
  * caller needs comes back in the PredecodeResult) and are cloneable
- * so composed stacks can be replicated across threads. The hot
- * `predecode()` overload borrows a caller-owned DecodeWorkspace and
- * fills a caller-owned PredecodeResult in place — with warm buffers
- * this is allocation-free; the historical returning overload runs
- * on a lazily created internal workspace. New predecoders
+ * so composed stacks can be replicated across threads.
+ * `predecode()` borrows a caller-owned DecodeWorkspace and fills a
+ * caller-owned PredecodeResult in place — with warm buffers this is
+ * allocation-free. New predecoders
  * self-register with the component registry in their own
  * translation unit (see qec/api/registry.hpp).
  */
@@ -130,10 +129,11 @@ struct BlockPredecodeResult
 class Predecoder
 {
   public:
-    // Out of line: the workspace_ member's deleter needs the full
-    // DecodeWorkspace type (see predecoder.cpp).
-    Predecoder(const DecodingGraph &graph, const PathTable &paths);
-    virtual ~Predecoder();
+    Predecoder(const DecodingGraph &graph, const PathTable &paths)
+        : graph_(graph), paths_(paths)
+    {
+    }
+    virtual ~Predecoder() = default;
 
     /**
      * Predecode a syndrome into a caller-owned result, borrowing
@@ -154,14 +154,6 @@ class Predecoder
                            long long cycle_budget,
                            DecodeWorkspace &workspace,
                            PredecodeResult &result) = 0;
-
-    /**
-     * Historical returning overload: runs on this instance's
-     * lazily created internal workspace. Bit-identical with the
-     * workspace overload.
-     */
-    PredecodeResult predecode(std::span<const uint32_t> defects,
-                              long long cycle_budget);
 
     /**
      * Predecode all requested lanes of a 64-lane syndrome block at
@@ -201,9 +193,6 @@ class Predecoder
   protected:
     const DecodingGraph &graph_;
     const PathTable &paths_;
-
-  private:
-    std::unique_ptr<DecodeWorkspace> workspace_;
 };
 
 } // namespace qec

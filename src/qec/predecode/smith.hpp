@@ -24,7 +24,6 @@ class SmithPredecoder : public Predecoder
   public:
     using Predecoder::Predecoder;
 
-    using Predecoder::predecode;
     void predecode(std::span<const uint32_t> defects,
                    long long cycle_budget,
                    DecodeWorkspace &workspace,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "qec/decoders/workspace.hpp"
 #include "qec/util/assert.hpp"
 #include "qec/util/rt_grow.hpp"
 
@@ -12,9 +11,8 @@ namespace qec
 StreamingDecoder::StreamingDecoder(Decoder &decoder,
                                    int detectorsPerRound,
                                    StreamingConfig config)
-    : decoder_(decoder), workspace_(decoder.internalWorkspace()),
-      detectorsPerRound_(detectorsPerRound), config_(config),
-      numDetectors_(decoder.graph().numDetectors())
+    : decoder_(decoder), detectorsPerRound_(detectorsPerRound),
+      config_(config), numDetectors_(decoder.graph().numDetectors())
 {
     QEC_ASSERT(detectorsPerRound >= 1,
                "detectorsPerRound must be positive");

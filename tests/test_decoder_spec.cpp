@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the DecoderSpec registry API: parse/print round-trips,
- * option overrides, error paths, registry completeness against the
- * legacy factory names, and thread-safety of cloned stacks
+ * option overrides, error paths, registry completeness (every
+ * registered component builds), and thread-safety of cloned stacks
  * (identical batch results with independent traces).
  */
 
@@ -13,9 +13,9 @@
 #include "qec/api/decoder_spec.hpp"
 #include "qec/api/registry.hpp"
 #include "qec/decoders/astrea.hpp"
-#include "qec/decoders/factory.hpp"
 #include "qec/decoders/parallel.hpp"
 #include "qec/decoders/pipeline.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/predecode/pinball.hpp"
@@ -156,7 +156,8 @@ TEST(DecoderSpec, OptionsOverrideLatencyAndPromatchConfig)
         EXPECT_DOUBLE_EQ(astrea->latencyConfig().budgetNs, 500.0);
         // Behavioral check: HW 5 is now beyond the engine's reach.
         const std::vector<uint32_t> five{0, 1, 2, 3, 4};
-        EXPECT_TRUE(decoder->decode(five).aborted);
+        DecodeWorkspace workspace;
+        EXPECT_TRUE(decoder->decode(five, workspace).aborted);
     }
     {
         auto decoder = build(
@@ -236,7 +237,7 @@ TEST(DecoderRegistry, ComponentsAreRegistered)
 {
     const DecoderRegistry &registry = DecoderRegistry::instance();
     for (const char *name :
-         {"mwpm", "astrea", "astrea_g", "union_find"}) {
+         {"mwpm", "sparse", "astrea", "astrea_g", "union_find"}) {
         EXPECT_TRUE(registry.hasDecoder(name)) << name;
         EXPECT_FALSE(registry.describe(name).empty()) << name;
     }
@@ -250,28 +251,36 @@ TEST(DecoderRegistry, ComponentsAreRegistered)
     EXPECT_FALSE(registry.hasPredecoder("astrea"));
 }
 
-TEST(DecoderRegistry, EveryLegacyNameBuildsAndRoundTrips)
+TEST(DecoderRegistry, EveryCanonicalSpecBuildsAndRoundTrips)
 {
+    // Registry-wide: every main decoder alone, every predecoder on
+    // astrea, and each of those behind a `||astrea_g` partner.
+    const DecoderRegistry &registry = DecoderRegistry::instance();
+    std::vector<std::string> stacks = registry.decoderComponents();
+    for (const std::string &pre : registry.predecoderComponents()) {
+        stacks.push_back(pre + "+astrea");
+    }
     const auto &ctx = ExperimentContext::get(3, 1e-3);
-    for (const std::string &name : decoderNames()) {
-        const std::string text = specForName(name);
-        const DecoderSpec spec = DecoderSpec::parse(text);
-        EXPECT_EQ(spec.toString(), text) << name;
-        auto via_spec = build(spec, ctx.graph(), ctx.paths());
-        auto via_factory =
-            makeDecoder(name, ctx.graph(), ctx.paths());
-        ASSERT_NE(via_spec, nullptr) << name;
-        // Same composition: the legacy factory is a thin alias.
-        EXPECT_EQ(via_spec->name(), via_factory->name()) << name;
+    for (const std::string &stack : stacks) {
+        for (const std::string &text : {stack, stack + "||astrea_g"}) {
+            const DecoderSpec spec = DecoderSpec::parse(text);
+            EXPECT_EQ(spec.toString(), text) << text;
+            EXPECT_EQ(DecoderSpec::parse(spec.toString()), spec)
+                << text;
+            auto decoder = build(spec, ctx.graph(), ctx.paths());
+            ASSERT_NE(decoder, nullptr) << text;
+            // A clone is the same composition.
+            EXPECT_EQ(decoder->clone()->name(), decoder->name())
+                << text;
+        }
     }
 }
 
 TEST(DecoderSpec, ClonedStacksDecodeConcurrentlyWithSameResults)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto stack = build(
-        DecoderSpec::parse(specForName("promatch_par_ag")),
-        ctx.graph(), ctx.paths());
+    auto stack = build(DecoderSpec::parse("promatch+astrea||astrea_g"),
+                       ctx.graph(), ctx.paths());
 
     // A mixed batch, including HW > 10 syndromes that engage the
     // predecoder.
@@ -298,13 +307,17 @@ TEST(DecoderSpec, ClonedStacksDecodeConcurrentlyWithSameResults)
     std::vector<DecodeTrace> traces_a(batch.size());
     std::vector<DecodeTrace> traces_b(batch.size());
     std::thread ta([&]() {
+        DecodeWorkspace workspace;
         for (size_t i = 0; i < batch.size(); ++i) {
-            results_a[i] = clone_a->decode(batch[i], &traces_a[i]);
+            results_a[i] =
+                clone_a->decode(batch[i], workspace, &traces_a[i]);
         }
     });
     std::thread tb([&]() {
+        DecodeWorkspace workspace;
         for (size_t i = 0; i < batch.size(); ++i) {
-            results_b[i] = clone_b->decode(batch[i], &traces_b[i]);
+            results_b[i] =
+                clone_b->decode(batch[i], workspace, &traces_b[i]);
         }
     });
     ta.join();

@@ -9,9 +9,10 @@
 
 #include "qec/circuit/circuit.hpp"
 #include "qec/decoders/astrea.hpp"
-#include "qec/decoders/factory.hpp"
+#include "qec/decoders/astrea_g.hpp"
 #include "qec/decoders/parallel.hpp"
 #include "qec/decoders/union_find.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/dem/decompose.hpp"
 #include "qec/harness/context.hpp"
 
@@ -74,7 +75,8 @@ TEST(ParallelEdge, BothSidesAbortingAborts)
     for (uint32_t det = 0; det < 12; ++det) {
         defects.push_back(det);
     }
-    const DecodeResult result = parallel.decode(defects);
+    DecodeWorkspace workspace;
+    const DecodeResult result = parallel.decode(defects, workspace);
     EXPECT_TRUE(result.aborted);
 }
 
@@ -86,15 +88,18 @@ TEST(ParallelEdge, SurvivingSideWins)
         ctx.graph(), ctx.paths(),
         std::make_unique<AstreaDecoder>(ctx.graph(), ctx.paths(),
                                         latency),
-        makeDecoder("astrea_g", ctx.graph(), ctx.paths(), latency),
+        std::make_unique<AstreaGDecoder>(ctx.graph(), ctx.paths(),
+                                         latency),
         latency);
     std::vector<uint32_t> defects;
     for (uint32_t det = 0; det < 12; ++det) {
         defects.push_back(det);
     }
     // Astrea aborts (HW 12 > 10); Astrea-G must carry the result.
+    DecodeWorkspace workspace;
     DecodeTrace trace;
-    const DecodeResult result = parallel.decode(defects, &trace);
+    const DecodeResult result =
+        parallel.decode(defects, workspace, &trace);
     EXPECT_FALSE(result.aborted);
     EXPECT_EQ(trace.parallelWinner, 1);
     ASSERT_EQ(trace.children.size(), 2u);
@@ -115,8 +120,9 @@ TEST(UnionFindEdge, LoneBoundaryAdjacentDefect)
     UnionFindDecoder uf(ctx.graph(), ctx.paths());
     const std::vector<uint32_t> defects{
         static_cast<uint32_t>(det)};
+    DecodeWorkspace workspace;
     DecodeTrace trace;
-    const DecodeResult result = uf.decode(defects, &trace);
+    const DecodeResult result = uf.decode(defects, workspace, &trace);
     EXPECT_FALSE(result.aborted);
     // The correction must be exactly one boundary-reaching path.
     EXPECT_GE(trace.correctionEdges.size(), 1u);
@@ -134,7 +140,8 @@ TEST(UnionFindEdge, AllDetectorsFlippedStillResolves)
         defects.push_back(det);
     }
     UnionFindDecoder uf(ctx.graph(), ctx.paths());
-    const DecodeResult result = uf.decode(defects);
+    DecodeWorkspace workspace;
+    const DecodeResult result = uf.decode(defects, workspace);
     EXPECT_FALSE(result.aborted);
 }
 
@@ -148,7 +155,8 @@ TEST(AstreaEdge, ExactlyTenDefectsIsStillExact)
         defects.push_back(det);
     }
     AstreaDecoder astrea(ctx.graph(), ctx.paths());
-    const DecodeResult result = astrea.decode(defects);
+    DecodeWorkspace workspace;
+    const DecodeResult result = astrea.decode(defects, workspace);
     EXPECT_FALSE(result.aborted);
     EXPECT_GT(result.weight, 0.0);
 }

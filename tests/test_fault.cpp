@@ -188,15 +188,17 @@ TEST(PredecodeCommit, CommitsPredecoderResolutionAndFlagsResidual)
 
     ImportanceSampler sampler(ctx.dem(), 6);
     Rng rng(0xc0117);
+    DecodeWorkspace workspace, reference_ws;
+    PredecodeResult pre;
     uint64_t expectFlagged = 0;
     int nonTrivial = 0;
     for (int k = 1; k <= 6; ++k) {
         for (int s = 0; s < 50; ++s) {
             const auto sample = sampler.sample(k, rng);
             const DecodeResult got =
-                commit.decode(sample.defects);
-            const PredecodeResult pre =
-                reference->predecode(sample.defects, budget);
+                commit.decode(sample.defects, workspace);
+            reference->predecode(sample.defects, budget,
+                                 reference_ws, pre);
             // The commit tier answers with exactly what the
             // predecoder resolved; the residual is abandoned.
             EXPECT_EQ(got.predictedObs, pre.obsMask);
@@ -216,7 +218,7 @@ TEST(PredecodeCommit, CommitsPredecoderResolutionAndFlagsResidual)
     // Clones aggregate into the same counter.
     auto clone = commit.clone();
     const uint32_t lone[] = {0};
-    (void)clone->decode(lone);
+    (void)clone->decode(lone, workspace);
     EXPECT_GE(commit.flaggedDefects(), expectFlagged);
     commit.resetFlagged();
     EXPECT_EQ(commit.flaggedDefects(), 0u);
@@ -241,7 +243,6 @@ class TimedDecoder final : public Decoder
     {
     }
 
-    using Decoder::decode;
     DecodeResult
     decode(std::span<const uint32_t> defects,
            DecodeWorkspace &workspace,
@@ -278,14 +279,15 @@ TEST(Fallback, DisabledBudgetIsBitIdenticalToPrimary)
 
     ImportanceSampler sampler(ctx.dem(), 6);
     Rng rng(0xb17);
+    DecodeWorkspace workspace;
     uint64_t decodes = 0;
     for (int k = 1; k <= 6; ++k) {
         for (int s = 0; s < 50; ++s) {
             const auto sample = sampler.sample(k, rng);
             const DecodeResult a =
-                primary->decode(sample.defects);
+                primary->decode(sample.defects, workspace);
             const DecodeResult b =
-                ladder->decode(sample.defects);
+                ladder->decode(sample.defects, workspace);
             ASSERT_EQ(a.predictedObs, b.predictedObs);
             ASSERT_EQ(a.weight, b.weight);
             ASSERT_EQ(a.latencyNs, b.latencyNs);
@@ -329,12 +331,14 @@ TEST(Fallback, EscalatesDownLadderWhenBudgetFires)
                            ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(0xe5c);
+    DecodeWorkspace workspace;
     uint64_t decodes = 0;
     for (int s = 0; s < 100; ++s) {
         const auto sample = sampler.sample(3, rng);
-        const DecodeResult got = ladder.decode(sample.defects);
+        const DecodeResult got =
+            ladder.decode(sample.defects, workspace);
         const DecodeResult want =
-            reference->decode(sample.defects);
+            reference->decode(sample.defects, workspace);
         ASSERT_EQ(got.predictedObs, want.predictedObs);
         ++decodes;
     }
@@ -361,8 +365,8 @@ TEST(Fallback, LastTierOverrunIsAcceptedAndCounted)
                            std::move(tiers), config);
 
     const uint32_t defects[] = {0, 1};
-    const DecodeResult got = ladder.decode(defects);
-    (void)got;
+    DecodeWorkspace workspace;
+    (void)ladder.decode(defects, workspace);
     const FallbackStats stats = ladder.stats();
     EXPECT_EQ(stats.tierUsed[0], 1u);
     EXPECT_EQ(stats.overruns, 1u);
@@ -376,8 +380,9 @@ TEST(Fallback, ClonesShareAggregatedStats)
                                         {"mwpm", "sparse"});
     auto clone = ladder->clone();
     const uint32_t defects[] = {0, 1};
-    (void)ladder->decode(defects);
-    (void)clone->decode(defects);
+    DecodeWorkspace workspace;
+    (void)ladder->decode(defects, workspace);
+    (void)clone->decode(defects, workspace);
     EXPECT_EQ(ladder->stats().tierUsed[0], 2u);
     ladder->resetStats();
     EXPECT_EQ(ladder->stats().tierUsed[0], 0u);

@@ -9,9 +9,11 @@
 
 #include <cmath>
 
+#include "qec/decoders/mwpm_decoder.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/histogram.hpp"
 #include "qec/harness/importance_sampler.hpp"
+#include "qec/harness/ler_estimator.hpp"
 #include "qec/harness/report.hpp"
 #include "qec/hwmodel/resources.hpp"
 #include "qec/util/rng.hpp"
@@ -227,6 +229,19 @@ TEST(ImportanceSamplerDeathTest, RejectsAllZeroProbModel)
     ASSERT_EQ(dem.mechanisms()[0].prob, 0.0);
     EXPECT_DEATH(ImportanceSampler sampler(dem, 4),
                  "all mechanism probabilities are zero");
+}
+
+TEST(LerEstimatorDeathTest, RejectsZeroSamplesPerK)
+{
+    // With no samples every P_f(k) is 0/0, and the Eq. 1 sum would
+    // silently come back NaN; the estimator must refuse instead.
+    const auto &ctx = ExperimentContext::get(3, 1e-3);
+    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    LerOptions options;
+    options.kMax = 4;
+    options.samplesPerK = 0;
+    EXPECT_DEATH(estimateLer(ctx, decoder, options),
+                 "samplesPerK >= 1");
 }
 
 TEST(ImportanceSampler, WeightsBiasTowardProbableMechanisms)

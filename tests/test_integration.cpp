@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include "qec/decoders/factory.hpp"
+#include "qec/api/decoder_spec.hpp"
+#include "qec/api/registry.hpp"
 #include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/ler_estimator.hpp"
 
@@ -64,8 +66,10 @@ TEST(Integration, DecodersRankSensiblyAtD5)
     // Exact MWPM must not lose to union-find; Promatch+Astrea must
     // track MWPM closely at d=5 (all syndromes are low-HW there).
     const auto &ctx = ExperimentContext::get(5, 3e-3);
-    auto mwpm = makeDecoder("mwpm", ctx.graph(), ctx.paths());
-    auto uf = makeDecoder("union_find", ctx.graph(), ctx.paths());
+    auto mwpm =
+        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
+    auto uf = build(DecoderSpec::parse("union_find"), ctx.graph(),
+                    ctx.paths());
 
     LerOptions options;
     options.kMax = 10;
@@ -81,9 +85,10 @@ TEST(Integration, PromatchAstreaMatchesMwpmOnLowHw)
     // At d = 5 every relevant syndrome fits Astrea directly, so the
     // Promatch pipeline must reproduce MWPM-grade accuracy.
     const auto &ctx = ExperimentContext::get(5, 2e-3);
-    auto promatch =
-        makeDecoder("promatch_astrea", ctx.graph(), ctx.paths());
-    auto mwpm = makeDecoder("mwpm", ctx.graph(), ctx.paths());
+    auto promatch = build(DecoderSpec::parse("promatch+astrea"),
+                          ctx.graph(), ctx.paths());
+    auto mwpm =
+        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
 
     LerOptions options;
     options.kMax = 8;
@@ -103,7 +108,8 @@ TEST(Integration, ThreadedLerEstimateIsDeterministic)
     // estimate must be bit-identical for any thread count.
     const auto &ctx = ExperimentContext::get(5, 2e-3);
     auto decoder =
-        makeDecoder("promatch_par_ag", ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse("promatch+astrea||astrea_g"),
+              ctx.graph(), ctx.paths());
 
     LerOptions serial;
     serial.kMax = 8;
@@ -154,11 +160,13 @@ TEST(Integration, SampleDefectsMatchInjectedParity)
     // checking failures are rare for k=1 (always correctable).
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    DecodeWorkspace workspace;
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(2);
     for (int s = 0; s < 500; ++s) {
         const auto sample = sampler.sample(1, rng);
-        const DecodeResult result = decoder.decode(sample.defects);
+        const DecodeResult result =
+            decoder.decode(sample.defects, workspace);
         ASSERT_EQ(result.predictedObs, sample.obsMask);
     }
 }

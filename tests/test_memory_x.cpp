@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/dem/decompose.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/sim/error_enumerator.hpp"
@@ -70,8 +71,9 @@ TEST(MemoryX, EverySingleFaultDecodesWithMwpm)
                                exp.detectors);
     const PathTable paths(graph);
     MwpmDecoder decoder(graph, paths);
+    DecodeWorkspace workspace;
     for (const DemMechanism &m : dem.mechanisms()) {
-        const DecodeResult result = decoder.decode(m.dets);
+        const DecodeResult result = decoder.decode(m.dets, workspace);
         ASSERT_FALSE(result.aborted);
         ASSERT_EQ(result.predictedObs, m.obsMask);
     }

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "qec/api/registry.hpp"
-#include "qec/decoders/factory.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/harness/ler_estimator.hpp"
@@ -153,7 +153,8 @@ TEST(ParallelLer, EstimateIsBitIdenticalAcrossThreadCounts)
 TEST(ParallelLer, DirectMonteCarloIsBitIdenticalAcrossThreadCounts)
 {
     const auto &ctx = ExperimentContext::get(3, 2e-3);
-    auto decoder = makeDecoder("mwpm", ctx.graph(), ctx.paths());
+    auto decoder =
+        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
     // 1000 shots = 16 blocks (incl. a partial last block), enough
     // to exercise sharding plus the lane-tail path.
     const DirectMcResult reference =
@@ -213,8 +214,8 @@ recordRun(const ExperimentContext &ctx, Decoder &decoder,
 TEST(ParallelLer, ObserverSeesIdenticalOrderedStreamAnyThreadCount)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto decoder =
-        makeDecoder("promatch_astrea", ctx.graph(), ctx.paths());
+    auto decoder = build(DecoderSpec::parse("promatch+astrea"),
+                         ctx.graph(), ctx.paths());
     const std::vector<ObservedSample> serial =
         recordRun(ctx, *decoder, 1);
     ASSERT_EQ(serial.size(), 5u * 150u);
@@ -288,10 +289,10 @@ TEST(ParallelLer, DecodeBatchMatchesSequentialForEveryRegistrySpec)
         std::vector<DecodeResult> sequential;
         std::vector<DecodeTrace> sequential_traces(batch.size());
         sequential.reserve(batch.size());
+        DecodeWorkspace workspace;
         for (size_t i = 0; i < batch.size(); ++i) {
-            sequential.push_back(
-                decoder->decode(batch[i],
-                                &sequential_traces[i]));
+            sequential.push_back(decoder->decode(
+                batch[i], workspace, &sequential_traces[i]));
         }
         for (int threads : {1, 4}) {
             std::vector<DecodeTrace> traces;
@@ -323,7 +324,8 @@ TEST(ParallelLer, DecodeFilterSkipsDeterministicallyAcrossThreads)
     // the observer, count it as non-failing, and preserve
     // bit-identity across thread counts.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto decoder = makeDecoder("mwpm", ctx.graph(), ctx.paths());
+    auto decoder =
+        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
     LerOptions options;
     options.kMax = 5;
     options.samplesPerK = 150;

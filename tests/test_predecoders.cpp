@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <set>
 
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/predecode/clique.hpp"
@@ -48,11 +49,12 @@ highHwSyndromes(const ExperimentContext &ctx, int count,
 TEST(Promatch, ReducesHighHwToTenOrLess)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     for (const auto &defects :
          highHwSyndromes(ctx, 50, 0xfeed)) {
-        const PredecodeResult result =
-            promatch.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_LE(result.residual.size(), 10u)
             << "HW " << defects.size() << " not reduced";
         EXPECT_GE(result.cycles, 0);
@@ -63,10 +65,11 @@ TEST(Promatch, ReducesHighHwToTenOrLess)
 TEST(Promatch, ResidualIsSubsetOfInput)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 30, 0xbee)) {
-        const PredecodeResult result =
-            promatch.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(defects, kBudgetCycles, workspace, result);
         const std::set<uint32_t> input(defects.begin(),
                                        defects.end());
         for (uint32_t det : result.residual) {
@@ -81,13 +84,15 @@ TEST(Promatch, ResidualIsSubsetOfInput)
 TEST(Promatch, LowHwWithFixedTargetIsUntouched)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(1);
     const auto sample = sampler.sample(2, rng);
     if (sample.defects.size() <= 10) {
-        const PredecodeResult result =
-            promatch.predecode(sample.defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(sample.defects, kBudgetCycles,
+                           workspace, result);
         EXPECT_EQ(result.residual, sample.defects);
         EXPECT_EQ(result.cycles, 0);
     }
@@ -99,6 +104,7 @@ TEST(Promatch, IsolatedPairIsMatchedByStep1)
     // spread of 10 far-apart defects so HW = 12 > 10 engages the
     // predecoder; the pair must fall to Step 1.
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     const DecodingGraph &graph = ctx.graph();
 
     // Find an internal (non-boundary) edge.
@@ -134,8 +140,8 @@ TEST(Promatch, IsolatedPairIsMatchedByStep1)
     std::sort(defects.begin(), defects.end());
 
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
-    const PredecodeResult result =
-        promatch.predecode(defects, kBudgetCycles);
+    PredecodeResult result;
+    promatch.predecode(defects, kBudgetCycles, workspace, result);
     EXPECT_TRUE(result.steps.step1);
     // The isolated pair must be gone from the residual.
     EXPECT_FALSE(std::binary_search(result.residual.begin(),
@@ -148,12 +154,13 @@ TEST(Promatch, StepUsageIsDominatedByStep1)
     // Table 6: the overwhelming majority of high-HW syndromes need
     // only Step 1.
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     int step1_only = 0, total = 0;
     for (const auto &defects :
          highHwSyndromes(ctx, 100, 0xcafe)) {
-        const PredecodeResult result =
-            promatch.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(defects, kBudgetCycles, workspace, result);
         ++total;
         if (result.steps.deepest() <= 1) {
             ++step1_only;
@@ -167,12 +174,13 @@ TEST(Promatch, AdaptiveTargetDropsWhenBudgetShrinks)
     // With a tiny budget the adaptive target must fall below 10,
     // forcing deeper predecoding than the default budget needs.
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 20, 0x77)) {
-        const PredecodeResult rich =
-            promatch.predecode(defects, kBudgetCycles);
-        const PredecodeResult poor =
-            promatch.predecode(defects, 30);
+        PredecodeResult rich;
+        promatch.predecode(defects, kBudgetCycles, workspace, rich);
+        PredecodeResult poor;
+        promatch.predecode(defects, 30, workspace, poor);
         EXPECT_LE(poor.residual.size(), 8u)
             << "tight budget should force HW <= 8";
         EXPECT_LE(poor.residual.size(), rich.residual.size() + 0u);
@@ -182,6 +190,7 @@ TEST(Promatch, AdaptiveTargetDropsWhenBudgetShrinks)
 TEST(Promatch, ExactAndHardwareSingletonChecksBothCovered)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PromatchConfig hw_cfg;
     PromatchConfig exact_cfg;
     exact_cfg.exactSingletonCheck = true;
@@ -189,10 +198,10 @@ TEST(Promatch, ExactAndHardwareSingletonChecksBothCovered)
     PromatchPredecoder exact(ctx.graph(), ctx.paths(), {},
                              exact_cfg);
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x88)) {
-        const PredecodeResult a =
-            hw.predecode(defects, kBudgetCycles);
-        const PredecodeResult b =
-            exact.predecode(defects, kBudgetCycles);
+        PredecodeResult a;
+        hw.predecode(defects, kBudgetCycles, workspace, a);
+        PredecodeResult b;
+        exact.predecode(defects, kBudgetCycles, workspace, b);
         EXPECT_LE(a.residual.size(), 10u);
         EXPECT_LE(b.residual.size(), 10u);
     }
@@ -201,16 +210,17 @@ TEST(Promatch, ExactAndHardwareSingletonChecksBothCovered)
 TEST(Promatch, ParallelLanesReduceCycleCharge)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     LatencyConfig one_lane;
     LatencyConfig four_lanes;
     four_lanes.promatchLanes = 4;
     PromatchPredecoder pm1(ctx.graph(), ctx.paths(), one_lane);
     PromatchPredecoder pm4(ctx.graph(), ctx.paths(), four_lanes);
     for (const auto &defects : highHwSyndromes(ctx, 20, 0x4a)) {
-        const PredecodeResult r1 =
-            pm1.predecode(defects, kBudgetCycles);
-        const PredecodeResult r4 =
-            pm4.predecode(defects, kBudgetCycles);
+        PredecodeResult r1;
+        pm1.predecode(defects, kBudgetCycles, workspace, r1);
+        PredecodeResult r4;
+        pm4.predecode(defects, kBudgetCycles, workspace, r4);
         EXPECT_LE(r4.cycles, r1.cycles);
         // Lanes change timing, not the matching decisions made
         // before the adaptive target reacts to the cheaper cycles;
@@ -222,10 +232,11 @@ TEST(Promatch, ParallelLanesReduceCycleCharge)
 TEST(Smith, OnePassMatchesOnlyAdjacentPairs)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     SmithPredecoder smith(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x99)) {
-        const PredecodeResult result =
-            smith.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        smith.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_EQ(result.rounds, 1);
         // Parity: matched count is even.
         EXPECT_EQ((defects.size() - result.residual.size()) % 2,
@@ -240,10 +251,11 @@ TEST(Smith, OnePassMatchesOnlyAdjacentPairs)
 TEST(Pinball, ResidualIsSortedSubsetWithConsistentParity)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PinballPredecoder pinball(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x31)) {
-        const PredecodeResult result =
-            pinball.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        pinball.predecode(defects, kBudgetCycles, workspace, result);
         const std::set<uint32_t> input(defects.begin(),
                                        defects.end());
         for (uint32_t det : result.residual) {
@@ -264,12 +276,13 @@ TEST(Pinball, RoundsAndCyclesAreBounded)
     // PinballConfig::rounds propose/commit rounds, each at a
     // constant cycle charge, independent of the Hamming weight.
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PinballConfig config;
     config.rounds = 3;
     PinballPredecoder pinball(ctx.graph(), ctx.paths(), config);
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x32)) {
-        const PredecodeResult result =
-            pinball.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        pinball.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_GE(result.rounds, 1);
         EXPECT_LE(result.rounds, 3);
         EXPECT_EQ(result.cycles % result.rounds, 0)
@@ -284,6 +297,7 @@ TEST(Pinball, MatchesIsolatedPairViaMutualSelection)
     // hit, so the selections are mutual and the pair commits in
     // round 1.
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     const DecodingGraph &graph = ctx.graph();
     int pair_edge = -1;
     for (const GraphEdge &edge : graph.edges()) {
@@ -298,8 +312,8 @@ TEST(Pinball, MatchesIsolatedPairViaMutualSelection)
     std::sort(defects.begin(), defects.end());
 
     PinballPredecoder pinball(ctx.graph(), ctx.paths());
-    const PredecodeResult result =
-        pinball.predecode(defects, kBudgetCycles);
+    PredecodeResult result;
+    pinball.predecode(defects, kBudgetCycles, workspace, result);
     EXPECT_FALSE(std::binary_search(result.residual.begin(),
                                     result.residual.end(), edge.u));
     EXPECT_FALSE(std::binary_search(result.residual.begin(),
@@ -313,6 +327,7 @@ TEST(Pinball, BoundaryPatternIsConfigurable)
     // boundary pattern; with pinball_boundary off it must survive
     // to the residual.
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     const DecodingGraph &graph = ctx.graph();
     uint32_t lone = kBoundary;
     for (uint32_t det = 0; det < graph.numDetectors(); ++det) {
@@ -325,8 +340,8 @@ TEST(Pinball, BoundaryPatternIsConfigurable)
     const std::vector<uint32_t> defects = {lone};
 
     PinballPredecoder with_boundary(ctx.graph(), ctx.paths());
-    const PredecodeResult hit =
-        with_boundary.predecode(defects, kBudgetCycles);
+    PredecodeResult hit;
+    with_boundary.predecode(defects, kBudgetCycles, workspace, hit);
     EXPECT_TRUE(hit.residual.empty());
     const uint32_t beid =
         static_cast<uint32_t>(graph.boundaryEdge(lone));
@@ -336,8 +351,8 @@ TEST(Pinball, BoundaryPatternIsConfigurable)
     no_boundary.matchBoundary = false;
     PinballPredecoder without(ctx.graph(), ctx.paths(),
                               no_boundary);
-    const PredecodeResult miss =
-        without.predecode(defects, kBudgetCycles);
+    PredecodeResult miss;
+    without.predecode(defects, kBudgetCycles, workspace, miss);
     EXPECT_EQ(miss.residual, defects);
     EXPECT_EQ(miss.obsMask, 0ull);
 }
@@ -345,13 +360,14 @@ TEST(Pinball, BoundaryPatternIsConfigurable)
 TEST(Pinball, CloneIsBitIdentical)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     PinballPredecoder pinball(ctx.graph(), ctx.paths());
     auto clone = pinball.clone();
     for (const auto &defects : highHwSyndromes(ctx, 20, 0x33)) {
-        const PredecodeResult a =
-            pinball.predecode(defects, kBudgetCycles);
-        const PredecodeResult b =
-            clone->predecode(defects, kBudgetCycles);
+        PredecodeResult a;
+        pinball.predecode(defects, kBudgetCycles, workspace, a);
+        PredecodeResult b;
+        clone->predecode(defects, kBudgetCycles, workspace, b);
         EXPECT_EQ(a.residual, b.residual);
         EXPECT_EQ(a.obsMask, b.obsMask);
         EXPECT_EQ(a.weight, b.weight);
@@ -363,11 +379,12 @@ TEST(Pinball, CloneIsBitIdentical)
 TEST(Clique, AllOrNothingContract)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     CliquePredecoder clique(ctx.graph(), ctx.paths());
     int forwarded = 0, decoded = 0;
     for (const auto &defects : highHwSyndromes(ctx, 50, 0xaa)) {
-        const PredecodeResult result =
-            clique.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        clique.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_TRUE(result.forwarded || result.decodedAll);
         if (result.forwarded) {
             ++forwarded;
@@ -386,10 +403,11 @@ TEST(Clique, AllOrNothingContract)
 TEST(Hierarchical, ForwardsComplexSyndromes)
 {
     const auto &ctx = ExperimentContext::get(9, 1e-3);
+    DecodeWorkspace workspace;
     HierarchicalPredecoder hier(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 20, 0xbb)) {
-        const PredecodeResult result =
-            hier.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        hier.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_TRUE(result.forwarded || result.decodedAll);
     }
 }

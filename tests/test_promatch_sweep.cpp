@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <ostream>
 #include <set>
 
 #include "qec/decoders/latency.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/predecode/promatch.hpp"
@@ -26,6 +30,28 @@ struct SweepParam
     bool exactSingleton;
     bool adaptive;
 };
+
+/**
+ * Stable printed form such as `d13_p1em4_exact_adaptive`, which
+ * gtest_discover_tests turns into the ctest name. Without it gtest
+ * prints the struct byte by byte, padding included, so the names
+ * would change between builds.
+ */
+void
+PrintTo(const SweepParam &param, std::ostream *os)
+{
+    // p = mantissa x 10^-exponent (the sweep's rates are all < 1).
+    const int exponent = static_cast<int>(
+        -std::floor(std::log10(param.p) + 1e-9));
+    const long mantissa =
+        std::lround(param.p * std::pow(10.0, exponent));
+    char name[64];
+    std::snprintf(name, sizeof name, "d%d_p%ldem%d_%s_%s",
+                  param.distance, mantissa, exponent,
+                  param.exactSingleton ? "exact" : "hardware",
+                  param.adaptive ? "adaptive" : "fixed");
+    *os << name;
+}
 
 class PromatchSweep : public ::testing::TestWithParam<SweepParam>
 {
@@ -47,6 +73,8 @@ TEST_P(PromatchSweep, InvariantsHoldOnHighHwStream)
         latency.effectiveBudgetNs() / latency.nsPerCycle);
     ImportanceSampler sampler(ctx.dem(), 20);
     Rng rng(0x5eed + param.distance);
+    DecodeWorkspace workspace;
+    PredecodeResult result;
 
     int checked = 0;
     int guard = 0;
@@ -57,8 +85,7 @@ TEST_P(PromatchSweep, InvariantsHoldOnHighHwStream)
             continue;
         }
         ++checked;
-        const PredecodeResult result =
-            promatch.predecode(sample.defects, budget);
+        promatch.predecode(sample.defects, budget, workspace, result);
 
         // Coverage: residual must fit the main decoder.
         EXPECT_LE(result.residual.size(), 10u);
@@ -106,6 +133,8 @@ TEST(PromatchBudget, TighterBudgetNeverLoosensCoverage)
 {
     const auto &ctx = ExperimentContext::get(11, 1e-4);
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
+    DecodeWorkspace workspace;
+    PredecodeResult result;
     ImportanceSampler sampler(ctx.dem(), 20);
     Rng rng(0xabc);
     int checked = 0, guard = 0;
@@ -117,8 +146,8 @@ TEST(PromatchBudget, TighterBudgetNeverLoosensCoverage)
         ++checked;
         size_t prev_residual = 1000;
         for (long long budget : {240ll, 150ll, 40ll}) {
-            const PredecodeResult result =
-                promatch.predecode(sample.defects, budget);
+            promatch.predecode(sample.defects, budget, workspace,
+                               result);
             EXPECT_LE(result.residual.size(), prev_residual);
             prev_residual = result.residual.size();
         }

@@ -26,6 +26,7 @@
 #include "qec/api/decoder_spec.hpp"
 #include "qec/api/registry.hpp"
 #include "qec/api/status.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/fault/fault_injector.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/serve/ring.hpp"
@@ -234,11 +235,13 @@ TEST(Streaming, MatchesOneShotAcrossStacks)
         cfg.commitRounds = 4;
         cfg.guardRounds = 4;
         StreamingDecoder streamer(*windowed, detPerRound, cfg);
+        DecodeWorkspace workspace;
 
         int compared = 0, skipped = 0;
         uint64_t carried = 0, windowsSeen = 0;
         for (const SyndromeStream &s : streams) {
-            const DecodeResult ref = oneShot->decode(s.defects);
+            const DecodeResult ref =
+                oneShot->decode(s.defects, workspace);
             const uint64_t committed = streamer.run(s);
             if (ref.aborted || streamer.aborted()) {
                 ++skipped; // HW beyond the stack's budget: the

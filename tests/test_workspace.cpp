@@ -5,11 +5,11 @@
  *  - a counting global allocator proves that steady-state decoding
  *    (after a warmup pass over the same syndrome set) performs
  *    ZERO heap allocations for promatch+astrea, astrea_g, and
- *    mwpm — both through an explicit caller-owned workspace and
- *    through the decoder's internal one;
- *  - decode results are bit-identical with and without an explicit
- *    workspace, serially and through decodeBatch at threads
- *    {1, 8};
+ *    mwpm through a caller-owned workspace, on the 64-lane block
+ *    path, and end to end through a DecodeServer;
+ *  - decode results are bit-identical whether one workspace is
+ *    reused across decodes or each decode gets a fresh one,
+ *    serially and through decodeBatch at threads {1, 8};
  *  - MonotonicArena / ArenaVector unit behavior (reset keeps
  *    capacity, growth preserves contents);
  *  - SyndromeSubgraph rebuild-in-place equivalence.
@@ -193,28 +193,6 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
     }
 }
 
-TEST(WorkspaceZeroAlloc, InternalWorkspaceSteadyState)
-{
-    const auto &ctx = ExperimentContext::get(7, 1e-3);
-    const auto batch = syndromeSet(ctx);
-    for (const char *spec : kZeroAllocSpecs) {
-        auto decoder = build(DecoderSpec::parse(spec),
-                             ctx.graph(), ctx.paths());
-        uint64_t sink = 0;
-        for (const auto &s : batch) {
-            sink ^= decoder->decode(s).predictedObs;
-        }
-        const uint64_t before = g_allocations.load();
-        for (const auto &s : batch) {
-            sink ^= decoder->decode(s).predictedObs;
-        }
-        const uint64_t after = g_allocations.load();
-        EXPECT_EQ(after - before, 0u)
-            << spec << " allocated in steady state (sink=" << sink
-            << ")";
-    }
-}
-
 TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
 {
     // The 64-lane block path must also run allocation-free once
@@ -265,35 +243,34 @@ expectSameResult(const DecodeResult &a, const DecodeResult &b,
     EXPECT_EQ(a.realTime, b.realTime) << label;
 }
 
-TEST(Workspace, ExplicitAndInternalWorkspacesAreBitIdentical)
+TEST(Workspace, ReusedAndFreshWorkspacesAreBitIdentical)
 {
-    // The same decoder must produce identical results whether the
-    // caller supplies a (reused) workspace, relies on the internal
-    // one, or decodes through the threaded batch path — at thread
-    // counts 1 and 8.
+    // No state may leak between decodes through the workspace: the
+    // same decoder must produce identical results whether each
+    // decode gets a fresh workspace, one workspace is reused for
+    // the whole batch, or the threaded batch path hands out its
+    // per-worker workspaces — at thread counts 1 and 8.
     const auto &ctx = ExperimentContext::get(7, 1e-3);
     const auto batch = syndromeSet(ctx);
     for (const char *spec : kZeroAllocSpecs) {
-        auto internal = build(DecoderSpec::parse(spec),
-                              ctx.graph(), ctx.paths());
-        auto explicit_ws = build(DecoderSpec::parse(spec),
-                                 ctx.graph(), ctx.paths());
-        DecodeWorkspace workspace;
+        auto decoder = build(DecoderSpec::parse(spec), ctx.graph(),
+                             ctx.paths());
         std::vector<DecodeResult> reference;
         reference.reserve(batch.size());
         for (const auto &s : batch) {
-            reference.push_back(internal->decode(s));
+            DecodeWorkspace fresh;
+            reference.push_back(decoder->decode(s, fresh));
         }
+        DecodeWorkspace reused;
         for (size_t i = 0; i < batch.size(); ++i) {
-            expectSameResult(
-                reference[i],
-                explicit_ws->decode(batch[i], workspace),
-                std::string(spec) + " explicit-ws sample " +
-                    std::to_string(i));
+            expectSameResult(reference[i],
+                             decoder->decode(batch[i], reused),
+                             std::string(spec) + " reused-ws sample " +
+                                 std::to_string(i));
         }
         for (int threads : {1, 8}) {
             const std::vector<DecodeResult> batched =
-                internal->decodeBatch(batch, nullptr, threads);
+                decoder->decodeBatch(batch, nullptr, threads);
             ASSERT_EQ(batched.size(), batch.size());
             for (size_t i = 0; i < batch.size(); ++i) {
                 expectSameResult(
