@@ -339,7 +339,7 @@ printSparseHighDistance(Bench &bench, int threads)
             static_cast<double>(dets) * dets * sizeof(PathCell) /
             (1024.0 * 1024.0);
         const double deferred_kb =
-            static_cast<double>(dets) * sizeof(PathCell) / 1024.0;
+            static_cast<double>(deferred.storageBytes()) / 1024.0;
         const auto row = [&](const char *matcher,
                              const std::string &storage,
                              double seconds) {
@@ -390,13 +390,14 @@ printSparseHighDistance(Bench &bench, int threads)
         static_cast<double>(dets) * dets * sizeof(PathCell) /
         (1024.0 * 1024.0);
     const double deferred_kb =
-        static_cast<double>(dets) * sizeof(PathCell) / 1024.0;
+        static_cast<double>(d21.paths().storageBytes()) / 1024.0;
     ReportTable t21(
         "d = 21 end-to-end, promatch+sparse on a DeferPairs table",
         {"detectors", "pair table", "dense would be", "samples",
          "wall s", "samples/s", "LER"});
     t21.addRow({std::to_string(dets),
-                formatFixed(deferred_kb, 1) + " KB (boundary)",
+                formatFixed(deferred_kb, 1) +
+                    " KB (boundary + landmarks)",
                 formatFixed(avoided_mb, 1) + " MB",
                 std::to_string(decoded), formatFixed(wall, 2),
                 formatFixed(static_cast<double>(decoded) / wall, 0),

@@ -55,10 +55,11 @@ main(int argc, char **argv)
         "absolute sizes match the 2-bit four-group encoding.\n");
 
     // Host-side PathTable storage, dense (S x S PathCell half) vs
-    // DeferPairs (boundary column only; pair distances computed on
-    // demand by the sparse matcher's DistanceOracle). The d >= 17
-    // graphs are built with deferred tables so this bench itself
-    // never pays the O(V^2) build it is quantifying.
+    // DeferPairs (boundary and landmark columns only; pair
+    // distances computed on demand by the sparse matcher's
+    // DistanceOracle). The d >= 17 graphs are built with deferred
+    // tables so this bench itself never pays the O(V^2) build it is
+    // quantifying.
     ReportTable host(
         "Host PathTable: dense pair cells vs DeferPairs "
         "(sparse-matcher mode)",
@@ -70,7 +71,8 @@ main(int argc, char **argv)
         const double n =
             static_cast<double>(ctx.graph().numDetectors());
         const double dense_bytes = n * n * sizeof(PathCell);
-        const double deferred_bytes = n * sizeof(PathCell);
+        const double deferred_bytes =
+            static_cast<double>(ctx.paths().storageBytes());
         host.addRow(
             {std::to_string(d),
              std::to_string(ctx.graph().numDetectors()),

@@ -107,6 +107,7 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
     }
     graph.adjEdgeIds_.resize(graph.adjOffsets_[n]);
     graph.pairHalfEdges_.resize(graph.pairOffsets_[n]);
+    graph.weightedHalfEdges_.resize(graph.pairOffsets_[n]);
     std::vector<uint32_t> adjFill(graph.adjOffsets_.begin(),
                                   graph.adjOffsets_.end() - 1);
     std::vector<uint32_t> pairFill(graph.pairOffsets_.begin(),
@@ -115,8 +116,13 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
         graph.adjEdgeIds_[adjFill[edge.u]++] = edge.id;
         if (edge.v != kBoundary) {
             graph.adjEdgeIds_[adjFill[edge.v]++] = edge.id;
+            const auto obs = static_cast<uint8_t>(edge.obsMask);
+            graph.weightedHalfEdges_[pairFill[edge.u]] = {
+                edge.weight, edge.v, obs};
             graph.pairHalfEdges_[pairFill[edge.u]++] = {edge.v,
                                                         edge.id};
+            graph.weightedHalfEdges_[pairFill[edge.v]] = {
+                edge.weight, edge.u, obs};
             graph.pairHalfEdges_[pairFill[edge.v]++] = {edge.u,
                                                         edge.id};
         }

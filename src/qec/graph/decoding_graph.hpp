@@ -14,8 +14,9 @@
  * split into SoA arrays. The weight SoA is float: path distances are
  * already float in the PathTable, and a 24-bit mantissa is far below
  * the physical uncertainty of any error prior. The full-precision
- * GraphEdge AoS remains the construction-time source of truth (the
- * PathTable Dijkstra accumulates the double weights).
+ * GraphEdge AoS remains the construction-time source of truth; the
+ * Dijkstra CSR (weightedNeighbors) carries its double weights, which
+ * every shortest-path distance accumulates.
  */
 
 #ifndef QEC_GRAPH_DECODING_GRAPH_HPP
@@ -48,6 +49,22 @@ struct PairHalfEdge
     uint32_t neighbor = 0; //!< The detector across the edge.
     uint32_t edgeId = 0;   //!< Position in edges().
 };
+
+/**
+ * One entry of the Dijkstra CSR: a pair half-edge carrying the
+ * full-precision weight and the observable mask narrowed to the
+ * PathTable's 8 bits, so the relax loop reads one 16-byte record per
+ * neighbor instead of chasing an edge id into the GraphEdge AoS.
+ */
+struct WeightedHalfEdge
+{
+    double weight = 0.0;   //!< GraphEdge::weight, bit-copied.
+    uint32_t neighbor = 0; //!< The detector across the edge.
+    uint8_t obs = 0;       //!< Low 8 bits of GraphEdge::obsMask.
+};
+
+static_assert(sizeof(WeightedHalfEdge) == 16,
+              "WeightedHalfEdge must stay four per cache line");
 
 /** Weighted detector graph with a virtual boundary node. */
 class DecodingGraph
@@ -93,6 +110,18 @@ class DecodingGraph
                 pairHalfEdges_.data() + pairOffsets_[det + 1]};
     }
 
+    /**
+     * The pairNeighbors() row with each edge's double weight and
+     * 8-bit observable mask inlined (same order, same offsets):
+     * the adjacency DistanceOracle relaxes over.
+     */
+    std::span<const WeightedHalfEdge>
+    weightedNeighbors(uint32_t det) const
+    {
+        return {weightedHalfEdges_.data() + pairOffsets_[det],
+                weightedHalfEdges_.data() + pairOffsets_[det + 1]};
+    }
+
     // --- SoA hot fields, bit-copied from the GraphEdge AoS at
     // construction (weight additionally narrowed to float — the
     // documented precision choice of the decode inner loops).
@@ -129,6 +158,7 @@ class DecodingGraph
     // Pair-edge CSR (boundary edges filtered out at construction).
     std::vector<uint32_t> pairOffsets_;
     std::vector<PairHalfEdge> pairHalfEdges_;
+    std::vector<WeightedHalfEdge> weightedHalfEdges_; //!< Same rows.
     // SoA hot fields, parallel to edges_.
     std::vector<float> edgeWeightF_;
     std::vector<uint64_t> edgeObs_;

@@ -1,40 +1,52 @@
 /**
  * @file
- * On-demand shortest-path distances over the decoding graph.
+ * The repo's one exact Dijkstra over the decoding graph.
  *
- * A DistanceOracle answers the same queries as a PathTable row —
- * PathCell{dist, obs, hops} from one source detector to a set of
- * target detectors — but computes them with a per-query Dijkstra
- * over the CSR adjacency instead of reading an O(V²) precomputed
- * matrix. It exists so high-distance stacks can run on a
- * PathTable built with DeferPairs (boundary column only, O(V)
- * memory): DistanceView falls back to it for gathers, and the
- * sparse matcher uses its truncated growth to discover candidate
- * edges locally.
+ * A DistanceOracle computes PathCell{dist, obs, hops} labels from a
+ * source detector (or a seeded source set) over the boundary-free
+ * Dijkstra CSR, DecodingGraph::weightedNeighbors(). Every consumer of
+ * shortest paths runs on it:
  *
- * Bit-identity contract: the relax loop reproduces
- * PathTable::buildPairs exactly — the same (double dist, node id)
- * heap ordering (distinct entries are totally ordered, so the pop
- * sequence is independent of heap layout), the same
- * strict-improvement relaxation over adjacentEdges() with boundary
- * edges excluded as intermediate hops, double accumulation along
- * paths, and one float narrowing on record. Every cell the oracle
- * settles is therefore bit-identical to the dense table's cell for
- * the same pair.
+ *  - PathTable builds its dense pair rows (one settleAll() per
+ *    source), its boundary column (one settleAll() seeded by every
+ *    boundary edge) and the DeferPairs landmark columns with it;
+ *  - DistanceView gathers S×S blocks with grow() when the table was
+ *    built with DeferPairs;
+ *  - the sparse matcher discovers its candidate pairs with grow()'s
+ *    per-target stop radii.
  *
- * Truncated growth: Dijkstra settles nodes in nondecreasing
- * distance order and a settled label is final, so the search can
- * stop once the popped distance exceeds a caller radius — every
- * already-settled target holds its exact table value, and every
- * unsettled target is guaranteed to lie strictly beyond the radius
- * (reported as an infinite cell). The stop test narrows the popped
- * distance to float first so "beyond the radius" remains true of
- * the float value a dense-table consumer would have read.
+ * Because dense cells and on-demand cells come out of the same
+ * relax loop, they agree bit for bit by construction.
  *
- * Memory contract: all scratch is epoch-stamped and reused, so a
- * warm oracle performs zero heap allocations per query (the
- * DecodeWorkspace property). One oracle must not be shared between
- * threads.
+ * Labels: distances accumulate in double along the path (the double
+ * GraphEdge weights, inlined in the CSR) and are narrowed to float
+ * once, on record; obs XORs the 8-bit edge masks; hops saturates at
+ * 255. Boundary edges never serve as intermediate hops. Relaxation
+ * is strict improvement in CSR (ascending edge id) order, so among
+ * equal-distance paths the first one found keeps its obs and hops.
+ *
+ * Pop order: the heap is an indexed 4-ary heap with decrease-key,
+ * ordered by (double dist, node id). Each unsettled node sits in it
+ * once, under its current tentative distance, so every pop settles
+ * the minimum (dist, id) among unsettled labelled nodes. That is the
+ * same sequence a lazy binary heap of (dist, id) entries settles:
+ * a stale entry of a node always carries a larger distance than its
+ * live one and is skipped. Since the settle order fixes which
+ * equal-distance predecessor relaxes a node first, every label —
+ * obs and hops included — is independent of the heap's layout.
+ *
+ * Per-target stop rule: Dijkstra settles nodes in nondecreasing
+ * distance and a settled label is final. grow() stops once the
+ * popped distance, narrowed to float, exceeds the largest radius
+ * among the targets not yet settled. Every such target's own float
+ * distance is at least the popped one, so it lies strictly beyond
+ * its radius even after narrowing — the float value a dense-table
+ * consumer would have read. Targets are reported {inf, 0, 255}.
+ *
+ * Memory contract: labels are reset through a touched list after
+ * each run and the heap is preallocated at bind(), so a warm oracle
+ * performs zero heap allocations per query (the DecodeWorkspace
+ * property). One oracle must not be shared between threads.
  */
 
 #ifndef QEC_GRAPH_DISTANCE_ORACLE_HPP
@@ -50,7 +62,16 @@
 namespace qec
 {
 
-/** Reusable single-source Dijkstra engine over a decoding graph. */
+/** One source of a seeded run: a node and its starting label. */
+struct DijkstraSeed
+{
+    uint32_t node = 0;
+    double dist = 0.0;
+    uint8_t obs = 0;
+    uint8_t hops = 0;
+};
+
+/** Reusable exact Dijkstra engine over a decoding graph. */
 class DistanceOracle
 {
   public:
@@ -58,17 +79,16 @@ class DistanceOracle
      *  bound to the same graph. */
     void bind(const DecodingGraph &graph);
 
-    const DecodingGraph *boundGraph() const { return graph_; }
-
     /**
      * Single-source growth from `src`: fills out[k] with the
-     * PathCell for targets[k] (bit-identical to the dense
-     * PathTable entry) for every target settled within `radius`;
-     * targets beyond the radius — or unreachable without crossing
-     * the boundary — come back as {inf, 0, 255}. The search stops
-     * as soon as every target is settled or the frontier passes
-     * the radius, whichever is first; pass an infinite radius to
-     * settle all reachable targets (a full table-row gather).
+     * PathCell for targets[k] (bit-identical to the dense PathTable
+     * entry) for every target settled before the stop rule fires
+     * (file comment); the rest — beyond their radius, or unreachable
+     * without crossing the boundary — come back as {inf, 0, 255}.
+     *
+     * `radii[k]` is the stop radius of targets[k]; an empty `radii`
+     * means every radius is infinite (a full gather). The search
+     * ends as soon as every target is settled.
      *
      * `targets` must be distinct detector indices; `out` must hold
      * targets.size() cells. `src` may itself appear in `targets`
@@ -76,29 +96,48 @@ class DistanceOracle
      * diagonal).
      */
     void grow(uint32_t src, std::span<const uint32_t> targets,
-              double radius, PathCell *out);
+              std::span<const double> radii, PathCell *out);
+
+    /**
+     * Exhaustive run from `seeds` (distinct nodes, each with its
+     * starting label): writes out[v] for every detector v the run
+     * settles and leaves the other cells untouched. `out` must hold
+     * numDetectors() cells. Setup-time use (table construction).
+     */
+    void settleAll(std::span<const DijkstraSeed> seeds, PathCell *out);
 
   private:
-    /** Dijkstra state entry: (distance, node). */
-    using HeapEntry = std::pair<double, uint32_t>;
+    /** Per-detector search state (16 bytes, one load per relax). */
+    struct Label
+    {
+        double dist = 0.0;
+        uint32_t pos = 0; //!< Heap index, kUnseen or kSettled.
+        uint8_t obs = 0;
+        uint8_t hops = 0;
+    };
 
-    void nextEpoch();
+    /** Heap entry: the node and a copy of its key. */
+    struct HeapEntry
+    {
+        double dist;
+        uint32_t node;
+    };
+
+    void seed(uint32_t node, double dist, uint8_t obs, uint8_t hops);
+    uint32_t popMin();
+    void relax(uint32_t u);
+    void siftUp(uint32_t i, HeapEntry entry);
+    void reset();
 
     const DecodingGraph *graph_ = nullptr;
     uint32_t n_ = 0;
-    uint32_t epoch_ = 0;
-    // Epoch-stamped labels: dist_/obs_/hops_ are valid (and done_
-    // means settled) only where the matching stamp equals epoch_,
-    // so a new query needs no O(V) clear.
-    std::vector<uint32_t> stamp_;
-    std::vector<uint32_t> doneStamp_;
-    std::vector<double> dist_;
-    std::vector<uint8_t> obs_;
-    std::vector<uint16_t> hops_;
-    // Stamped target membership: slot into `out` per detector.
-    std::vector<uint32_t> targetStamp_;
-    std::vector<uint32_t> targetSlot_;
-    std::vector<HeapEntry> heap_; //!< Binary heap via push/pop_heap.
+    std::vector<Label> label_;
+    std::vector<uint32_t> touched_;   //!< Labelled this run.
+    uint32_t touchedSize_ = 0;
+    std::vector<HeapEntry> heap_;     //!< 4-ary, heapSize_ live.
+    uint32_t heapSize_ = 0;
+    std::vector<uint32_t> targetSlot_; //!< Slot into out, or kNoSlot.
+    std::vector<uint32_t> byRadius_;   //!< Slots, radius descending.
 };
 
 } // namespace qec

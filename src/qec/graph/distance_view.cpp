@@ -1,7 +1,6 @@
 #include "qec/graph/distance_view.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "qec/util/rt_grow.hpp"
 
@@ -33,11 +32,8 @@ DistanceView::gather(const PathTable &paths,
         // Deferred table: compute each row with the oracle (one
         // Dijkstra per defect, bit-identical to the table's cells).
         oracle_.bind(paths.graph());
-        const double no_radius =
-            std::numeric_limits<double>::infinity();
         for (size_t a = 0; a < s; ++a) {
-            oracle_.grow(dets_[a], dets_, no_radius,
-                         cells_.data() + a * s);
+            oracle_.grow(dets_[a], dets_, {}, cells_.data() + a * s);
             bcells_[a] = paths.boundaryCell(dets_[a]);
         }
         return;

@@ -18,9 +18,9 @@
  * Deferred tables: when the PathTable was built with DeferPairs
  * (no O(V²) pair half — the high-distance configuration), the
  * gather computes the S×S block on the fly with the view's own
- * DistanceOracle instead of copying table rows. The oracle
- * reproduces the table's Dijkstra bit-for-bit, so consumers cannot
- * tell the two gather paths apart.
+ * DistanceOracle instead of copying table rows. Dense tables are
+ * built by the same engine, so consumers cannot tell the two gather
+ * paths apart.
  *
  * Reuse across a decode stack: the pipeline's predecoder gathers the
  * view for the full defect set; the main decoder's residual is a

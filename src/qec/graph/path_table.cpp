@@ -1,9 +1,10 @@
 #include "qec/graph/path_table.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <queue>
 
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/util/assert.hpp"
 
 namespace qec
@@ -14,64 +15,12 @@ namespace
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-/** Dijkstra state entry: (distance, node). */
-using HeapEntry = std::pair<double, uint32_t>;
-
-/** Shared relax loop of both build phases (and the reference
- *  semantics DistanceOracle mirrors): boundary edges never serve as
- *  intermediate hops, distances accumulate in double, and a node's
- *  labels are final once popped. */
-struct DijkstraScratch
-{
-    std::vector<double> dist;
-    std::vector<uint8_t> obs;
-    std::vector<uint16_t> hops;
-    std::vector<bool> done;
-
-    explicit DijkstraScratch(uint32_t n)
-        : dist(n), obs(n), hops(n), done(n)
-    {
-    }
-
-    void reset()
-    {
-        std::fill(dist.begin(), dist.end(),
-                  std::numeric_limits<double>::infinity());
-        std::fill(obs.begin(), obs.end(), 0);
-        std::fill(hops.begin(), hops.end(), 0);
-        std::fill(done.begin(), done.end(), false);
-    }
-
-    void relaxAll(const DecodingGraph &graph,
-                  std::priority_queue<HeapEntry,
-                                      std::vector<HeapEntry>,
-                                      std::greater<>> &heap)
-    {
-        while (!heap.empty()) {
-            const auto [du, u] = heap.top();
-            heap.pop();
-            if (done[u]) {
-                continue;
-            }
-            done[u] = true;
-            for (uint32_t eid : graph.adjacentEdges(u)) {
-                const GraphEdge &edge = graph.edges()[eid];
-                if (edge.v == kBoundary) {
-                    continue; // Boundary is never an intermediate hop.
-                }
-                const uint32_t w = (edge.u == u) ? edge.v : edge.u;
-                const double dw = du + edge.weight;
-                if (dw < dist[w]) {
-                    dist[w] = dw;
-                    obs[w] = obs[u] ^
-                             static_cast<uint8_t>(edge.obsMask);
-                    hops[w] = static_cast<uint16_t>(hops[u] + 1);
-                    heap.push({dw, w});
-                }
-            }
-        }
-    }
-};
+/** Relative slack of the landmark bound. Each stored column value is
+ *  a float narrowing of a double path sum, off by < 2^-24 relative
+ *  (~6e-8); the bound's two columns, the pair cell's own narrowing
+ *  and the triangle d(a, b) <= dL(a) + dL(b) keep the total error
+ *  below ~2e-7 (dL(a) + dL(b)), so 1e-6 covers it several times. */
+constexpr double kLandmarkSlack = 1e-6;
 
 } // namespace
 
@@ -93,60 +42,89 @@ PathTable::PathTable(const DecodingGraph &graph, DeferPairs)
     QEC_ASSERT(graph.numObservables() <= 8,
                "PathTable packs obs masks into 8 bits");
     buildBoundary(graph);
+    buildLandmarks(graph);
 }
 
 void
 PathTable::buildPairs(const DecodingGraph &graph)
 {
-    DijkstraScratch s(n);
-    // Per-source Dijkstra for the pair tables.
+    DistanceOracle oracle;
+    oracle.bind(graph);
     for (uint32_t src = 0; src < n; ++src) {
-        s.reset();
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<>>
-            heap;
-        s.dist[src] = 0.0;
-        heap.push({0.0, src});
-        s.relaxAll(graph, heap);
-        for (uint32_t v = 0; v < n; ++v) {
-            PathCell &cell = cells[index(src, v)];
-            cell.dist = static_cast<float>(s.dist[v]);
-            cell.obs = s.obs[v];
-            cell.hops = static_cast<uint8_t>(
-                std::min<uint16_t>(s.hops[v], 255));
-        }
+        const DijkstraSeed seed{src, 0.0, 0, 0};
+        oracle.settleAll({&seed, 1}, cells.data() + index(src, 0));
     }
 }
 
 void
 PathTable::buildBoundary(const DecodingGraph &graph)
 {
-    // Multi-source Dijkstra seeded by every boundary edge.
-    DijkstraScratch s(n);
-    s.reset();
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<>>
-        heap;
+    // One run seeded by every boundary edge.
+    std::vector<DijkstraSeed> seeds;
     for (uint32_t det = 0; det < n; ++det) {
         const int eid = graph.boundaryEdge(det);
-        if (eid < 0) {
+        if (eid >= 0) {
+            const GraphEdge &edge = graph.edges()[eid];
+            seeds.push_back({det, edge.weight,
+                             static_cast<uint8_t>(edge.obsMask), 1});
+        }
+    }
+    DistanceOracle oracle;
+    oracle.bind(graph);
+    oracle.settleAll(seeds, boundary.data());
+}
+
+void
+PathTable::buildLandmarks(const DecodingGraph &graph)
+{
+    // Farthest-point selection: each landmark is the detector
+    // farthest from all earlier ones (an unreachable one first, so
+    // every component gets a column), starting from detector 0.
+    landmarks_ = std::min<uint32_t>(kLandmarks, n);
+    landmarkDist_.assign(static_cast<size_t>(n) * landmarks_, kInf);
+    std::vector<float> nearest(n, kInf);
+    std::vector<PathCell> column(n);
+    DistanceOracle oracle;
+    oracle.bind(graph);
+    uint32_t next = 0;
+    for (uint32_t l = 0; l < landmarks_; ++l) {
+        std::fill(column.begin(), column.end(), PathCell{kInf, 0, 255});
+        const DijkstraSeed seed{next, 0.0, 0, 0};
+        oracle.settleAll({&seed, 1}, column.data());
+        for (uint32_t v = 0; v < n; ++v) {
+            landmarkDist_[static_cast<size_t>(v) * landmarks_ + l] =
+                column[v].dist;
+            nearest[v] = std::min(nearest[v], column[v].dist);
+        }
+        next = static_cast<uint32_t>(
+            std::max_element(nearest.begin(), nearest.end()) -
+            nearest.begin());
+    }
+}
+
+double
+PathTable::pairLowerBound(uint32_t a, uint32_t b) const
+{
+    const float *la = landmarkDist_.data() +
+                      static_cast<size_t>(a) * landmarks_;
+    const float *lb = landmarkDist_.data() +
+                      static_cast<size_t>(b) * landmarks_;
+    double bound = 0.0;
+    for (uint32_t l = 0; l < landmarks_; ++l) {
+        const double da = la[l];
+        const double db = lb[l];
+        if (da == kInf || db == kInf) {
+            if (da != db) {
+                // The landmark reaches one endpoint only, so a and b
+                // lie in different components.
+                return std::numeric_limits<double>::infinity();
+            }
             continue;
         }
-        const GraphEdge &edge = graph.edges()[eid];
-        if (edge.weight < s.dist[det]) {
-            s.dist[det] = edge.weight;
-            s.obs[det] = static_cast<uint8_t>(edge.obsMask);
-            s.hops[det] = 1;
-            heap.push({edge.weight, det});
-        }
+        bound = std::max(bound, std::abs(da - db) -
+                                    kLandmarkSlack * (da + db));
     }
-    s.relaxAll(graph, heap);
-    for (uint32_t v = 0; v < n; ++v) {
-        boundary[v].dist = static_cast<float>(s.dist[v]);
-        boundary[v].obs = s.obs[v];
-        boundary[v].hops = static_cast<uint8_t>(
-            std::min<uint16_t>(s.hops[v], 255));
-    }
+    return bound;
 }
 
 bool

@@ -7,10 +7,12 @@
  * distances in the decoding graph; Promatch's Step 3 consults the
  * same table (the paper's on-chip "Path table", §4.2.2/Table 8).
  *
- * Boundary distances are computed with a multi-source Dijkstra seeded
- * by every boundary edge; pair distances never route through the
- * boundary (matching two defects "via the boundary" is represented as
- * two separate boundary matches instead).
+ * Every cell comes out of the one Dijkstra engine, DistanceOracle:
+ * one exhaustive run per source for the pair rows, and one run
+ * seeded by every boundary edge for the boundary column. Pair
+ * distances never route through the boundary (matching two defects
+ * "via the boundary" is represented as two separate boundary
+ * matches instead). Cells a run never reaches stay {inf, 0, 255}.
  *
  * Data layout (docs/api.md "Data layout"): the three per-pair fields
  * (distance, path observable parity, hop count) are interleaved into
@@ -26,11 +28,20 @@
  * Deferred mode: the pair half of the table is O(V²) cells plus V
  * per-source Dijkstras, which is what caps setup at d≈13 (≈54 MB at
  * d=17, ≈187 MB at d=21 — see bench/table8_storage.cpp). A table
- * constructed with PathTable::DeferPairs builds only the O(V)
- * boundary column and remembers the graph; pair distances are then
- * computed on demand by DistanceOracle / the sparse matcher (both
- * reproduce this file's Dijkstra bit-for-bit), and the pair-cell
+ * constructed with PathTable::DeferPairs skips it and keeps only
+ * O(V) data: the boundary column and kLandmarks farthest-point
+ * landmark columns (distance from each of 16 detectors to every
+ * detector, picked greedily so each is farthest from the ones before
+ * it). Pair distances are then computed on demand by the same
+ * engine (DistanceView, the sparse matcher), and the pair-cell
  * accessors assert. pairsAvailable() tells the two modes apart.
+ *
+ * Landmark bound: by the triangle inequality,
+ * d(a, b) >= |dL(a) - dL(b)| for every landmark L. pairLowerBound()
+ * returns the largest such difference minus a relative slack that
+ * covers the float narrowing of the three distances involved, so it
+ * never exceeds the float cell the dense table would hold for (a, b).
+ * The sparse matcher uses it to drop pairs before searching.
  */
 
 #ifndef QEC_GRAPH_PATH_TABLE_HPP
@@ -60,15 +71,15 @@ static_assert(sizeof(PathCell) == 8,
 class PathTable
 {
   public:
-    /** Tag selecting boundary-only construction (see file comment). */
+    /** Tag selecting deferred O(V) construction (file comment). */
     struct DeferPairs
     {
     };
 
     explicit PathTable(const DecodingGraph &graph);
 
-    /** Boundary-only table: O(V) memory, one multi-source Dijkstra.
-     *  Pair-cell accessors assert until pairsAvailable(). */
+    /** Deferred table: O(V) memory — the boundary column plus the
+     *  landmark columns. Pair-cell accessors assert. */
     PathTable(const DecodingGraph &graph, DeferPairs);
 
     /** False when constructed with DeferPairs: the O(V²) pair half
@@ -132,6 +143,25 @@ class PathTable
 
     uint32_t numDetectors() const { return n; }
 
+    /** Heap bytes of the table's cells and columns. */
+    size_t storageBytes() const
+    {
+        return (cells.size() + boundary.size()) * sizeof(PathCell) +
+               landmarkDist_.size() * sizeof(float);
+    }
+
+    /** Landmark columns a DeferPairs table holds (fewer only when the
+     *  graph has fewer detectors). */
+    static constexpr uint32_t kLandmarks = 16;
+
+    /**
+     * Admissible lower bound on the float cell dist(a, b) from the
+     * landmark columns (file comment); +inf when a and b provably
+     * lie in different components, 0 on a dense table (which holds
+     * no landmarks).
+     */
+    double pairLowerBound(uint32_t a, uint32_t b) const;
+
   private:
     size_t index(uint32_t a, uint32_t b) const
     {
@@ -143,11 +173,14 @@ class PathTable
 
     void buildBoundary(const DecodingGraph &graph);
     void buildPairs(const DecodingGraph &graph);
+    void buildLandmarks(const DecodingGraph &graph);
 
     const DecodingGraph *graph_ = nullptr;
     uint32_t n = 0;
     std::vector<PathCell> cells;    //!< n x n interleaved pairs.
     std::vector<PathCell> boundary; //!< Per-detector boundary column.
+    uint32_t landmarks_ = 0;        //!< Columns in landmarkDist_.
+    std::vector<float> landmarkDist_; //!< n x landmarks_, row-major.
 };
 
 } // namespace qec

@@ -37,9 +37,11 @@ class ExperimentContext
 
     /**
      * Like the main constructor, but when `deferPathTable` is true
-     * the PathTable is built with PathTable::DeferPairs: only the
-     * O(V) boundary column, no O(V²) pair half and no V per-source
-     * Dijkstras. This is the high-distance (d >= 17) configuration
+     * the PathTable is built with PathTable::DeferPairs: only O(V)
+     * columns (the boundary column and the 16 landmark columns the
+     * sparse matcher prunes with), no O(V²) pair half and no V
+     * per-source Dijkstras. This is the high-distance (d >= 17)
+     * configuration
      * for sparse-matcher stacks; dense-matcher stacks still work on
      * it (DistanceView computes gathers on the fly) but pay a
      * Dijkstra per gathered row.

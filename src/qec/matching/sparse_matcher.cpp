@@ -64,35 +64,38 @@ SparseMatchingProblem::build(const PathTable &paths,
         return;
     }
 
-    // Sparse backend: truncated local growth per source. The radius
-    // db(i) + max db(j) over the remaining targets guarantees every
-    // unsettled target fails keepCandidate, so the two backends
-    // produce the identical candidate set (oracle cells are
-    // bit-identical to table cells).
+    // Sparse backend: one truncated growth per source over the
+    // targets j > i the landmark bound cannot rule out, each with
+    // radius db(i) + db(j). A pair dropped by the bound, or left
+    // unsettled at its radius, fails keepCandidate on its dense cell
+    // too, so both backends produce the identical candidate set
+    // (oracle cells are bit-identical to table cells).
     oracle_.bind(paths.graph());
-    rt::resizeTo(suffixMax_, static_cast<size_t>(n_) + 1);
-    suffixMax_[n_] = 0.0;
-    for (int i = n_ - 1; i >= 0; --i) {
-        suffixMax_[i] = std::max(
-            suffixMax_[i + 1], static_cast<double>(bcells_[i].dist));
-    }
-    rt::resizeTo(rowScratch_,
-                 n_ > 0 ? static_cast<size_t>(n_) : 0);
+    rt::resizeTo(rowScratch_, static_cast<size_t>(n_));
     for (int i = 0; i < n_; ++i) {
         rt::pushBack(offsets_,
-                 static_cast<int32_t>(cands_.size()));
-        const int targets = n_ - 1 - i;
-        if (targets == 0) {
+                     static_cast<int32_t>(cands_.size()));
+        const double bi = bcells_[i].dist;
+        growTargets_.clear();
+        growRadii_.clear();
+        growLocal_.clear();
+        for (int j = i + 1; j < n_; ++j) {
+            const double radius = bi + bcells_[j].dist;
+            if (paths.pairLowerBound(defects_[i], defects_[j]) >=
+                radius) {
+                continue;
+            }
+            rt::pushBack(growTargets_, defects_[j]);
+            rt::pushBack(growRadii_, radius);
+            rt::pushBack(growLocal_, static_cast<int32_t>(j));
+        }
+        if (growTargets_.empty()) {
             continue;
         }
-        const double radius =
-            static_cast<double>(bcells_[i].dist) + suffixMax_[i + 1];
-        oracle_.grow(
-            defects_[i],
-            std::span<const uint32_t>(defects_).subspan(i + 1),
-            radius, rowScratch_.data());
-        for (int k = 0; k < targets; ++k) {
-            const int j = i + 1 + k;
+        oracle_.grow(defects_[i], growTargets_, growRadii_,
+                     rowScratch_.data());
+        for (size_t k = 0; k < growLocal_.size(); ++k) {
+            const int j = growLocal_[k];
             const PathCell &cell = rowScratch_[k];
             if (keepCandidate(cell, bcells_[i], bcells_[j])) {
                 rt::pushBack(cands_, {j, cell});

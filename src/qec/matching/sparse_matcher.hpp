@@ -21,12 +21,23 @@
  * finite (an infinite bound keeps every finite pair). So the pruned
  * problem has the same optimal total weight as the dense problem
  * (the chosen mates may differ between equal-weight optima, as with
- * any exact solver). Each
- * source's growth radius is db(i) plus the largest boundary
- * distance among its remaining targets, so every target left
- * unsettled at the radius is provably prunable. When boundary
- * distances are infinite no pruning applies and the growth runs to
- * exhaustion — the matcher degrades to exact dense behavior.
+ * any exact solver).
+ *
+ * The deferred backend drops such pairs without computing d(i, j)
+ * in two ways. First, before any search, PathTable::pairLowerBound
+ * — the landmark bound max_L |dL(i) - dL(j)|, less a relative
+ * margin of 1e-6 (dL(i) + dL(j)) that covers the float narrowing of
+ * the two landmark cells and of the pair cell itself — proves
+ * d(i, j) >= db(i) + db(j) for most far-apart pairs. Second, each
+ * source's growth gives every remaining target j its own stop
+ * radius db(i) + db(j), and the search ends once the float-narrowed
+ * frontier passes the largest radius still unsettled, so every
+ * target left unsettled is provably prunable. Both tests compare
+ * the same double sum of the two float boundary cells that the
+ * dense backend compares its table cell against. When boundary
+ * distances are infinite neither test drops a reachable pair and
+ * the growth runs to exhaustion — the matcher degrades to exact
+ * dense behavior.
  *
  * Two interchangeable distance backends feed the same build: with a
  * dense PathTable the problem reads table rows on demand (no S×S
@@ -111,7 +122,9 @@ class SparseMatchingProblem
     std::vector<PathCell> bcells_;    //!< Boundary column cells.
     std::vector<int32_t> offsets_;    //!< n+1 CSR offsets.
     std::vector<SparseCandidate> cands_;
-    std::vector<double> suffixMax_;   //!< Boundary-dist suffix max.
+    std::vector<uint32_t> growTargets_; //!< One growth's targets,
+    std::vector<double> growRadii_;     //!< their stop radii,
+    std::vector<int32_t> growLocal_;    //!< and local indices.
     std::vector<PathCell> rowScratch_;
     DistanceOracle oracle_;           //!< Lazy distance backend.
 };

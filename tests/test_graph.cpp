@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for the decoding graph and path tables, including a
- * Floyd-Warshall cross-check of the Dijkstra all-pairs distances.
+ * Floyd-Warshall cross-check of the Dijkstra all-pairs distances,
+ * the DistanceOracle contract on deferred tables, and admissibility
+ * of the landmark lower bound.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
+#include "qec/util/rng.hpp"
 
 namespace qec
 {
@@ -100,6 +106,36 @@ TEST(PathTable, BoundaryUsesBestAttachment)
     EXPECT_EQ(paths.boundaryObs(1), 0ull);
 }
 
+TEST(PathTable, EqualDistanceTiesFollowNodeIdPopOrder)
+{
+    // Two equal-weight paths 0-1-3 and 0-2-3 that differ in
+    // observable parity. Nodes 1 and 2 tie at the same distance; the
+    // (dist, node id) pop order settles 1 first, so 3 keeps the label
+    // relaxed through 1. Dense cells and oracle growth agree on it.
+    GraphlikeDem dem;
+    dem.numDetectors = 4;
+    dem.numObservables = 1;
+    dem.edges.push_back({0, 1, 1, 0.1});
+    dem.edges.push_back({0, 2, 0, 0.1});
+    dem.edges.push_back({1, 3, 0, 0.1});
+    dem.edges.push_back({2, 3, 0, 0.1});
+    dem.edges.push_back({3, kBoundary, 0, 0.1});
+    const DecodingGraph graph = DecodingGraph::fromDem(dem);
+    const PathTable paths(graph);
+    EXPECT_EQ(paths.pathObs(0, 3), 1ull);
+    EXPECT_EQ(paths.pathHops(0, 3), 2);
+
+    DistanceOracle oracle;
+    oracle.bind(graph);
+    const std::vector<uint32_t> targets = {3};
+    const std::vector<double> radii = {100.0};
+    PathCell cell;
+    oracle.grow(0, targets, radii, &cell);
+    EXPECT_EQ(cell.dist, paths.dist(0, 3));
+    EXPECT_EQ(cell.obs, 1);
+    EXPECT_EQ(cell.hops, 2);
+}
+
 TEST(PathTable, MatchesFloydWarshallOnSurfaceGraph)
 {
     const auto &ctx = ExperimentContext::get(3, 1e-3);
@@ -144,6 +180,127 @@ TEST(PathTable, SurfaceGraphBoundaryReachableEverywhere)
          ++det) {
         EXPECT_TRUE(std::isfinite(ctx.paths().distToBoundary(det)));
         EXPECT_GT(ctx.paths().distToBoundary(det), 0.0);
+    }
+}
+
+TEST(DistanceOracle, GrowMatchesDenseTableUnderPerTargetRadii)
+{
+    // On a DeferPairs table every finite cell grow() returns is the
+    // dense table's cell bit for bit, and every target it leaves
+    // infinite lies strictly beyond its radius in the dense table.
+    for (int d : {5, 7, 11}) {
+        const auto &ctx = ExperimentContext::get(d, 1e-3);
+        const PathTable &dense = ctx.paths();
+        const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
+        ASSERT_FALSE(deferred.pairsAvailable());
+        const uint32_t n = ctx.graph().numDetectors();
+        DistanceOracle oracle;
+        oracle.bind(deferred.graph());
+        Rng rng(0x0dac + static_cast<uint64_t>(d));
+        std::vector<uint8_t> picked(n, 0);
+        int finite = 0;
+        int beyond = 0;
+        for (int t = 0; t < 60; ++t) {
+            const uint32_t src =
+                static_cast<uint32_t>(rng.next64() % n);
+            const size_t count = 1 + rng.next64() % 24;
+            std::vector<uint32_t> targets;
+            std::vector<double> radii;
+            std::fill(picked.begin(), picked.end(), 0);
+            while (targets.size() < count) {
+                // Every fifth trial includes the source itself.
+                const uint32_t det =
+                    (t % 5 == 0 && targets.empty())
+                        ? src
+                        : static_cast<uint32_t>(rng.next64() % n);
+                if (picked[det]) {
+                    continue;
+                }
+                picked[det] = 1;
+                targets.push_back(det);
+                // Radii straddle the true distance, some exactly on
+                // it (a target at its radius must be settled).
+                const double exact = dense.dist(src, det);
+                const uint64_t kind = rng.next64() % 4;
+                radii.push_back(kind == 0 ? exact
+                                          : exact * (0.3 + 1.4 *
+                                                     rng.nextDouble()));
+            }
+            std::vector<PathCell> out(count);
+            // Trial 0 of each distance is a radius-free gather.
+            const bool gather = t == 0;
+            oracle.grow(src, targets,
+                        gather ? std::span<const double>{}
+                               : std::span<const double>(radii),
+                        out.data());
+            for (size_t k = 0; k < count; ++k) {
+                const std::string label =
+                    "d=" + std::to_string(d) + " trial " +
+                    std::to_string(t) + " src " +
+                    std::to_string(src) + " target " +
+                    std::to_string(targets[k]);
+                const PathCell &want = dense.cell(src, targets[k]);
+                if (std::isfinite(out[k].dist)) {
+                    ++finite;
+                    EXPECT_EQ(out[k].dist, want.dist) << label;
+                    EXPECT_EQ(out[k].obs, want.obs) << label;
+                    EXPECT_EQ(out[k].hops, want.hops) << label;
+                } else {
+                    ++beyond;
+                    ASSERT_FALSE(gather) << label;
+                    EXPECT_GT(static_cast<double>(want.dist),
+                              radii[k])
+                        << label;
+                    EXPECT_EQ(out[k].obs, 0) << label;
+                    EXPECT_EQ(out[k].hops, 255) << label;
+                }
+                if (radii[k] == want.dist && !gather) {
+                    EXPECT_TRUE(std::isfinite(out[k].dist)) << label;
+                }
+            }
+        }
+        // Both outcomes must actually occur.
+        EXPECT_GT(finite, 0) << "d=" << d;
+        EXPECT_GT(beyond, 0) << "d=" << d;
+    }
+}
+
+TEST(PathTable, LandmarkBoundIsAdmissible)
+{
+    // pairLowerBound never exceeds the dense float cell: every pair
+    // at d in {5, 7}, 20k sampled pairs at d = 11. The bound must
+    // also be informative, or the sparse matcher prunes nothing.
+    for (int d : {5, 7, 11}) {
+        const auto &ctx = ExperimentContext::get(d, 1e-3);
+        const PathTable &dense = ctx.paths();
+        const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
+        const uint32_t n = ctx.graph().numDetectors();
+        double tightest = 0.0;
+        const auto check = [&](uint32_t a, uint32_t b) {
+            const double bound = deferred.pairLowerBound(a, b);
+            const double exact = dense.dist(a, b);
+            ASSERT_LE(bound, exact)
+                << "d=" << d << " pair " << a << "," << b;
+            if (exact > 0.0) {
+                tightest = std::max(tightest, bound / exact);
+            }
+        };
+        if (d <= 7) {
+            for (uint32_t a = 0; a < n; ++a) {
+                for (uint32_t b = 0; b < n; ++b) {
+                    check(a, b);
+                }
+            }
+        } else {
+            Rng rng(0x1a4d);
+            for (int s = 0; s < 20000; ++s) {
+                check(static_cast<uint32_t>(rng.next64() % n),
+                      static_cast<uint32_t>(rng.next64() % n));
+            }
+        }
+        EXPECT_GT(tightest, 0.9) << "d=" << d;
+        EXPECT_EQ(dense.pairLowerBound(0, n - 1), 0.0)
+            << "dense tables hold no landmarks";
     }
 }
 

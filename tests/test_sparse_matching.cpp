@@ -11,9 +11,12 @@
  *  - backend bit-identity: the dense-table-backed and the
  *    DeferPairs/Dijkstra-backed builds of SparseMatchingProblem
  *    must produce the identical candidate sets, solutions, and
- *    predicted observables;
+ *    predicted observables, on uniform-rate and importance-sampled
+ *    syndromes at d in {5, 7, 11, 13} (the latter where the
+ *    landmark bound prunes pairs before any search);
  *  - the deferred DistanceView gather (the path Promatch Step 3
- *    takes at d = 21) is a bit-copy of the dense table;
+ *    takes at d = 21) is a bit-copy of the dense table at
+ *    d in {7, 11};
  *  - LER parity between the `sparse` and `mwpm` decoders;
  *  - decodeBlock lane equivalence with the sparse matcher active on
  *    a DeferPairs table (the registry-wide block fuzz covers the
@@ -230,64 +233,101 @@ TEST(SparseMatch, MatchesBlossomOnRandomDems)
     }
 }
 
+/** Both backends of SparseMatchingProblem::build must agree on one
+ *  syndrome: same candidate sets (cells bit-identical), hence the
+ *  same solutions bit for bit. */
+void
+expectBackendsBitIdentical(const PathTable &dense,
+                           const PathTable &deferred,
+                           std::span<const uint32_t> defects,
+                           const std::string &label)
+{
+    SparseMatchingProblem viaTable;
+    SparseMatchingProblem viaDijkstra;
+    SparseMatcher matcher;
+    MatchingSolution solTable;
+    MatchingSolution solDijkstra;
+    viaTable.build(dense, defects);
+    viaDijkstra.build(deferred, defects);
+    ASSERT_EQ(viaTable.size(), viaDijkstra.size()) << label;
+    for (int i = 0; i < viaTable.size(); ++i) {
+        const auto a = viaTable.candidates(i);
+        const auto b = viaDijkstra.candidates(i);
+        ASSERT_EQ(a.size(), b.size()) << label << " defect " << i;
+        for (size_t c = 0; c < a.size(); ++c) {
+            EXPECT_EQ(a[c].j, b[c].j) << label;
+            EXPECT_EQ(a[c].cell.dist, b[c].cell.dist)
+                << label; // bit-identical floats
+            EXPECT_EQ(a[c].cell.obs, b[c].cell.obs) << label;
+            EXPECT_EQ(a[c].cell.hops, b[c].cell.hops) << label;
+        }
+    }
+    matcher.solve(viaTable, solTable);
+    matcher.solve(viaDijkstra, solDijkstra);
+    EXPECT_EQ(solTable.valid, solDijkstra.valid) << label;
+    EXPECT_EQ(solTable.mate, solDijkstra.mate) << label;
+    EXPECT_EQ(solTable.totalWeight, solDijkstra.totalWeight)
+        << label; // exact ==: same cells, same order
+    if (solTable.valid) {
+        EXPECT_EQ(viaTable.solutionObs(solTable),
+                  viaDijkstra.solutionObs(solDijkstra))
+            << label;
+    }
+}
+
 TEST(SparseMatch, DeferredBackendBitIdenticalToTableBackend)
 {
     // The Dijkstra-backed build (DeferPairs table) must reproduce
-    // the dense-table-backed build exactly: same candidate sets
-    // (cells bit-identical), hence the same solutions bit-for-bit.
-    for (int d : {5, 7, 11}) {
+    // the dense-table-backed build exactly, on uniform-rate
+    // syndromes and on importance-sampled k-fault syndromes (the
+    // deep_d17 regime, k in [3, 12]), where far-apart pairs are
+    // dropped by the landmark bound before any search.
+    for (int d : {5, 7, 11, 13}) {
         const auto &ctx = ExperimentContext::get(d, 1e-3);
         const PathTable deferred(ctx.graph(),
                                  PathTable::DeferPairs{});
         ASSERT_FALSE(deferred.pairsAvailable());
         ASSERT_TRUE(ctx.paths().pairsAvailable());
         Rng rng(0x5a5f + static_cast<uint64_t>(d));
-        SparseMatchingProblem viaTable;
-        SparseMatchingProblem viaDijkstra;
-        SparseMatcher matcher;
-        MatchingSolution solTable;
-        MatchingSolution solDijkstra;
         for (double rate : {0.002, 0.01, 0.03}) {
             for (int t = 0; t < 12; ++t) {
                 const std::vector<uint32_t> defects =
                     randomSyndrome(ctx.graph(), rng, rate);
-                const std::string label =
+                expectBackendsBitIdentical(
+                    ctx.paths(), deferred, defects,
                     "d=" + std::to_string(d) + " rate=" +
-                    std::to_string(rate) + " trial " +
-                    std::to_string(t);
-                viaTable.build(ctx.paths(), defects);
-                viaDijkstra.build(deferred, defects);
-                ASSERT_EQ(viaTable.size(), viaDijkstra.size())
-                    << label;
-                for (int i = 0; i < viaTable.size(); ++i) {
-                    const auto a = viaTable.candidates(i);
-                    const auto b = viaDijkstra.candidates(i);
-                    ASSERT_EQ(a.size(), b.size())
-                        << label << " defect " << i;
-                    for (size_t c = 0; c < a.size(); ++c) {
-                        EXPECT_EQ(a[c].j, b[c].j) << label;
-                        EXPECT_EQ(a[c].cell.dist, b[c].cell.dist)
-                            << label; // bit-identical floats
-                        EXPECT_EQ(a[c].cell.obs, b[c].cell.obs)
-                            << label;
-                        EXPECT_EQ(a[c].cell.hops, b[c].cell.hops)
-                            << label;
+                        std::to_string(rate) + " trial " +
+                        std::to_string(t));
+            }
+        }
+        ImportanceSampler sampler(ctx.dem(), 12);
+        int pruned = 0;
+        for (int k = 3; k <= 12; ++k) {
+            for (int i = 0; i < 6; ++i) {
+                Rng sampleRng = Rng::forSample(0x5a60 + d, k, i);
+                const auto sample = sampler.sample(k, sampleRng);
+                const std::vector<uint32_t> &defects = sample.defects;
+                for (size_t a = 0; a < defects.size(); ++a) {
+                    for (size_t b = a + 1; b < defects.size(); ++b) {
+                        pruned += deferred.pairLowerBound(
+                                      defects[a], defects[b]) >=
+                                  static_cast<double>(
+                                      deferred.distToBoundary(
+                                          defects[a])) +
+                                      deferred.distToBoundary(
+                                          defects[b]);
                     }
                 }
-                matcher.solve(viaTable, solTable);
-                matcher.solve(viaDijkstra, solDijkstra);
-                EXPECT_EQ(solTable.valid, solDijkstra.valid)
-                    << label;
-                EXPECT_EQ(solTable.mate, solDijkstra.mate) << label;
-                EXPECT_EQ(solTable.totalWeight,
-                          solDijkstra.totalWeight)
-                    << label; // exact ==: same cells, same order
-                if (solTable.valid) {
-                    EXPECT_EQ(viaTable.solutionObs(solTable),
-                              viaDijkstra.solutionObs(solDijkstra))
-                        << label;
-                }
+                expectBackendsBitIdentical(
+                    ctx.paths(), deferred, defects,
+                    "d=" + std::to_string(d) + " k=" +
+                        std::to_string(k) + " sample " +
+                        std::to_string(i));
             }
+        }
+        if (d >= 11) {
+            EXPECT_GT(pruned, 0)
+                << "d=" << d << ": the landmark bound never fired";
         }
     }
 }
@@ -297,34 +337,43 @@ TEST(SparseMatch, DeferredViewGatherIsBitIdenticalToDense)
     // Promatch Step 3 reads the workspace DistanceView; on a
     // DeferPairs table the gather computes cells with the oracle.
     // Every cell must be a bit-copy of the dense table's.
-    const auto &ctx = ExperimentContext::get(7, 1e-3);
-    const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
-    Rng rng(0x5a6f);
-    DistanceView view;
-    for (int t = 0; t < 10; ++t) {
-        const std::vector<uint32_t> defects =
-            randomSyndrome(ctx.graph(), rng, 0.01);
-        if (defects.empty()) {
-            continue;
-        }
-        view.gather(deferred, defects);
-        const int s = view.size();
-        ASSERT_EQ(s, static_cast<int>(defects.size()));
-        for (int a = 0; a < s; ++a) {
-            EXPECT_EQ(view.distToBoundary(a),
-                      ctx.paths().distToBoundary(defects[a]));
-            EXPECT_EQ(view.boundaryObs(a),
-                      ctx.paths().boundaryObs(defects[a]));
-            for (int b = 0; b < s; ++b) {
-                EXPECT_EQ(view.dist(a, b),
-                          ctx.paths().dist(defects[a], defects[b]))
-                    << "pair " << a << "," << b;
-                EXPECT_EQ(view.obs(a, b),
-                          ctx.paths().pathObs(defects[a],
-                                              defects[b]));
-                EXPECT_EQ(view.hops(a, b),
-                          ctx.paths().pathHops(defects[a],
-                                               defects[b]));
+    for (int d : {7, 11}) {
+        const auto &ctx = ExperimentContext::get(d, 1e-3);
+        const PathTable deferred(ctx.graph(),
+                                 PathTable::DeferPairs{});
+        Rng rng(0x5a6f + static_cast<uint64_t>(d));
+        DistanceView view;
+        for (int t = 0; t < 10; ++t) {
+            const std::vector<uint32_t> defects =
+                randomSyndrome(ctx.graph(), rng, 0.01);
+            if (defects.empty()) {
+                continue;
+            }
+            view.gather(deferred, defects);
+            const int s = view.size();
+            ASSERT_EQ(s, static_cast<int>(defects.size()));
+            for (int a = 0; a < s; ++a) {
+                EXPECT_EQ(view.distToBoundary(a),
+                          ctx.paths().distToBoundary(defects[a]));
+                EXPECT_EQ(view.boundaryObs(a),
+                          ctx.paths().boundaryObs(defects[a]));
+                for (int b = 0; b < s; ++b) {
+                    const std::string label =
+                        "d=" + std::to_string(d) + " pair " +
+                        std::to_string(a) + "," + std::to_string(b);
+                    EXPECT_EQ(view.dist(a, b),
+                              ctx.paths().dist(defects[a],
+                                               defects[b]))
+                        << label;
+                    EXPECT_EQ(view.obs(a, b),
+                              ctx.paths().pathObs(defects[a],
+                                                  defects[b]))
+                        << label;
+                    EXPECT_EQ(view.hops(a, b),
+                              ctx.paths().pathHops(defects[a],
+                                                   defects[b]))
+                        << label;
+                }
             }
         }
     }

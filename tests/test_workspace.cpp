@@ -172,9 +172,11 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
     ASSERT_TRUE(saw_high_hw)
         << "syndrome set never engages the predecoder";
 
-    for (const char *spec : kZeroAllocSpecs) {
-        auto decoder = build(DecoderSpec::parse(spec),
-                             ctx.graph(), ctx.paths());
+    const auto expectSteadyState = [&](const char *spec,
+                                       const ExperimentContext &on,
+                                       const char *table) {
+        auto decoder = build(DecoderSpec::parse(spec), on.graph(),
+                             on.paths());
         DecodeWorkspace workspace;
         // Warmup: every scratch buffer reaches its high-water
         // capacity for this syndrome set.
@@ -188,8 +190,21 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
         }
         const uint64_t after = g_allocations.load();
         EXPECT_EQ(after - before, 0u)
-            << spec << " allocated in steady state (sink=" << sink
+            << spec << " on the " << table
+            << " table allocated in steady state (sink=" << sink
             << ")";
+    };
+    for (const char *spec : kZeroAllocSpecs) {
+        expectSteadyState(spec, ctx, "dense");
+    }
+    // The deferred backend (same detectors, so the same syndromes):
+    // every pair distance comes from the workspace-owned
+    // DistanceOracles — the sparse build's growths and Promatch's
+    // DistanceView gathers.
+    const ExperimentContext deferred(7, 1e-3, -1, true);
+    ASSERT_FALSE(deferred.paths().pairsAvailable());
+    for (const char *spec : {"sparse", "promatch+sparse"}) {
+        expectSteadyState(spec, deferred, "deferred");
     }
 }
 
