@@ -7,6 +7,7 @@
 
 #include "qec/decoders/parallel.hpp"
 #include "qec/decoders/pipeline.hpp"
+#include "qec/matching/exhaustive.hpp"
 #include "qec/util/assert.hpp"
 
 namespace qec
@@ -233,8 +234,13 @@ applySpecOptions(const std::map<std::string, std::string> &options,
             }
         };
         if (key == "hw_threshold") {
+            // Capped at the exact engine's mask width, which also
+            // keeps LatencyConfig::matchingCount within long long.
             latency.astreaMaxHw = parseIntOption(key, value);
-            require(latency.astreaMaxHw >= 0, "non-negative");
+            require(latency.astreaMaxHw >= 0 &&
+                        latency.astreaMaxHw <=
+                            ExhaustiveSolver::kMaxDefects,
+                    "in [0, 32]");
         } else if (key == "budget_ns") {
             latency.budgetNs = parseDoubleOption(key, value);
             require(latency.budgetNs > 0, "positive");

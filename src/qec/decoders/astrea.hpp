@@ -5,8 +5,11 @@
  * Astrea's hardware brute-forces every pairing of the flipped bits
  * (945 pairings at HW = 10) and is therefore *exact* for HW <= 10 but
  * cannot decode anything beyond that. We reproduce exactly that
- * contract: an exhaustive exact matcher guarded by the HW limit, with
- * latency from the shared LatencyConfig model.
+ * contract: an exact matcher guarded by the HW limit, with latency
+ * from the shared LatencyConfig model — the closed form of the
+ * hardware's full enumeration. The software engine
+ * (ExhaustiveSolver) prunes that enumeration and returns the same
+ * answer, the first minimum-weight matching in enumeration order.
  */
 
 #ifndef QEC_DECODERS_ASTREA_HPP
@@ -18,7 +21,7 @@
 namespace qec
 {
 
-/** Exact brute-force matcher for low-HW syndromes (HW <= 10). */
+/** Exact matcher for low-HW syndromes (HW <= 10). */
 class AstreaDecoder : public Decoder
 {
   public:

@@ -95,7 +95,7 @@ struct DecodeWorkspace
     MatchingSolution solution;
     /** Reusable exact blossom engine (MWPM decoder). */
     BlossomSolver blossom;
-    /** Reusable brute-force engine (Astrea model). */
+    /** Reusable exact small-k engine (Astrea model). */
     ExhaustiveSolver exhaustive;
     /** Reusable budgeted branch-and-bound engine (Astrea-G). */
     NearExhaustiveSolver nearExhaustive;

@@ -1,5 +1,7 @@
 #include "qec/matching/exhaustive.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "qec/util/assert.hpp"
@@ -30,101 +32,88 @@ matchingWeight(const MatchingProblem &problem,
     return total;
 }
 
-void
-ExhaustiveSolver::recurse(const MatchingProblem &problem,
-                          double weight)
+namespace
 {
-    if (weight >= best_) {
-        // Even a complete extension cannot improve (weights >= 0).
-        return;
-    }
-    const int n = problem.n;
-    int first = 0;
-    while (first < n && mate_[first] != -2) {
-        ++first;
-    }
-    if (first == n) {
-        ++explored_;
+
+/** Scale on the lower bound before it is compared with the
+ *  incumbent: the relative margin of the file comment. */
+constexpr double kBoundScale = 1.0 - 1e-12;
+
+} // namespace
+
+void
+ExhaustiveSolver::descend(uint32_t unmatched, double weight,
+                          double hRest)
+{
+    if (unmatched == 0) {
         if (weight < best_) {
             best_ = weight;
-            rt::assignRange(bestMate_, mate_.begin(),
-                            mate_.begin() + n);
+            found_ = true;
+            std::copy_n(mate_.begin(), n_, bestMate_.begin());
         }
         return;
     }
-
-    // Option 1: boundary.
-    const double bw = problem.boundaryWeight[first];
-    if (bw != kNoEdge) {
-        mate_[first] = -1;
-        recurse(problem, weight + bw);
-        mate_[first] = -2;
-    }
-    // Option 2: each later unmatched defect.
-    for (int j = first + 1; j < n; ++j) {
-        if (mate_[j] != -2) {
-            continue;
-        }
-        const double pw = problem.pair(first, j);
-        if (pw == kNoEdge) {
-            continue;
-        }
-        mate_[first] = j;
-        mate_[j] = first;
-        recurse(problem, weight + pw);
-        mate_[first] = -2;
-        mate_[j] = -2;
+    if ((weight + hRest) * kBoundScale < best_) {
+        search(unmatched, weight, hRest);
     }
 }
 
 void
-ExhaustiveSolver::seedGreedyBound(const MatchingProblem &problem)
+ExhaustiveSolver::search(uint32_t unmatched, double weight,
+                         double hRest)
 {
-    // Seed best_ with the weight of one greedily built matching so
-    // the branch-and-bound prunes above it from the first descent.
-    // The greedy walk mirrors the DFS exactly — lowest unmatched
-    // defect first, weight accumulated per commit in the same
-    // floating-point order — so the bound equals the DFS's own
-    // weight for this matching, and seeding nextafter(bound) keeps
-    // every matching with weight <= bound reachable. The DFS winner
-    // (first matching attaining the optimum in DFS order) has all
-    // prefix weights <= the optimum <= bound, so it is never pruned:
-    // the solution is bit-identical with the unseeded search, only
-    // the explored count shrinks.
-    const int n = problem.n;
+    const int first = std::countr_zero(unmatched);
+    const uint32_t rest = unmatched & (unmatched - 1);
+    const double h_rest = hRest - h_[first];
+    const double bw = boundary_[first];
+    if (bw != kNoEdge) {
+        mate_[first] = -1;
+        descend(rest, weight + bw, h_rest);
+    }
+    const double *row = pairWeight_ + static_cast<size_t>(first) * n_;
+    for (uint32_t bits = cand_[first] & rest; bits != 0;
+         bits &= bits - 1) {
+        const int j = std::countr_zero(bits);
+        mate_[first] = j;
+        mate_[j] = first;
+        descend(rest & ~(1u << j), weight + row[j], h_rest - h_[j]);
+    }
+}
+
+double
+ExhaustiveSolver::greedyBound(uint32_t all) const
+{
+    // Weight of one greedily built candidate matching, plus one ulp,
+    // so the search prunes above it from the first descent. The walk
+    // commits in DFS order and sums in the same floating-point order,
+    // so the bound is the search's own weight for this matching, and
+    // the matching (with every lighter one) stays reachable.
     double bound = 0.0;
-    for (int first = 0; first < n; ++first) {
-        if (mate_[first] != -2) {
-            continue;
-        }
-        double best_w = problem.boundaryWeight[first];
+    for (uint32_t left = all; left != 0;) {
+        const int first = std::countr_zero(left);
+        left &= left - 1;
+        const double *row =
+            pairWeight_ + static_cast<size_t>(first) * n_;
+        double best_w = boundary_[first];
         int best_j = -1;
-        for (int j = first + 1; j < n; ++j) {
-            if (mate_[j] != -2) {
-                continue;
-            }
-            const double pw = problem.pair(first, j);
-            if (pw < best_w) {
-                best_w = pw;
+        for (uint32_t bits = cand_[first] & left; bits != 0;
+             bits &= bits - 1) {
+            const int j = std::countr_zero(bits);
+            if (row[j] < best_w) {
+                best_w = row[j];
                 best_j = j;
             }
         }
         if (best_w == kNoEdge) {
-            // Greedy got stuck (no boundary, no free partner):
-            // leave best_ unseeded rather than guess a bound.
-            rt::assignFill(mate_, n, -2);
-            return;
+            // Stuck (no boundary, no free candidate): no seed.
+            return kNoEdge;
         }
         if (best_j >= 0) {
-            mate_[first] = best_j;
-            mate_[best_j] = first;
-        } else {
-            mate_[first] = -1;
+            left &= ~(1u << best_j);
         }
         bound += best_w;
     }
-    rt::assignFill(mate_, n, -2);
-    best_ = std::nextafter(bound, kNoEdge);
+    return std::nextafter(bound, kNoEdge);
 }
 
 // Outlined so the QEC_REALTIME anchor stays inside this body: GCC
@@ -133,36 +122,62 @@ ExhaustiveSolver::seedGreedyBound(const MatchingProblem &problem)
 // wrapper — whose by-value MatchingSolution return allocates.
 QEC_RT_OUTLINE void
 ExhaustiveSolver::solve(const MatchingProblem &problem,
-                        MatchingSolution &out, uint64_t *explored)
+                        MatchingSolution &out)
 {
     QEC_REALTIME;
-    rt::assignFill(mate_, problem.n, -2);
-    rt::assignFill(bestMate_, problem.n, -2);
-    best_ = kNoEdge;
-    explored_ = 0;
-    seedGreedyBound(problem);
-    recurse(problem, 0.0);
-    if (explored) {
-        *explored = explored_;
+    const int n = problem.n;
+    QEC_ASSERT(n <= kMaxDefects,
+               "ExhaustiveSolver: more defects than mask bits");
+    n_ = n;
+    pairWeight_ = problem.pairWeight.data();
+    out.mate.clear();
+    out.totalWeight = 0.0;
+    out.valid = false;
+
+    // Candidate masks (symmetric) and the per-defect bound h.
+    double h_total = 0.0;
+    for (int i = 0; i < n; ++i) {
+        boundary_[i] = problem.boundaryWeight[i];
+        h_[i] = boundary_[i];
+        cand_[i] = 0;
     }
-    if (best_ == kNoEdge) {
-        out.mate.clear();
-        out.totalWeight = 0.0;
-        out.valid = false;
+    for (int i = 0; i < n; ++i) {
+        const double *row =
+            pairWeight_ + static_cast<size_t>(i) * n;
+        for (int j = i + 1; j < n; ++j) {
+            if (row[j] < boundary_[i] + boundary_[j]) {
+                cand_[i] |= 1u << j;
+                cand_[j] |= 1u << i;
+                const double half = row[j] / 2;
+                h_[i] = std::min(h_[i], half);
+                h_[j] = std::min(h_[j], half);
+            }
+        }
+        if (h_[i] == kNoEdge) {
+            return; // Defect i can be matched to nothing.
+        }
+        h_total += h_[i];
+    }
+
+    const uint32_t all = n == kMaxDefects ? ~0u : (1u << n) - 1;
+    best_ = greedyBound(all);
+    found_ = false;
+    descend(all, 0.0, h_total);
+    if (!found_) {
         return;
     }
     rt::assignRange(out.mate, bestMate_.begin(),
-                    bestMate_.end());
+                    bestMate_.begin() + n);
     out.totalWeight = best_;
     out.valid = true;
 }
 
 MatchingSolution
-solveExhaustive(const MatchingProblem &problem, uint64_t *explored)
+solveExhaustive(const MatchingProblem &problem)
 {
     ExhaustiveSolver solver;
     MatchingSolution solution;
-    solver.solve(problem, solution, explored);
+    solver.solve(problem, solution);
     return solution;
 }
 

@@ -1,6 +1,5 @@
 #include "qec/matching/sparse_matcher.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -275,62 +274,11 @@ SparseMatcher::solve(const SparseMatchingProblem &problem,
                              static_cast<double>(cand.cell.dist));
             }
         }
-        if (m <= kDpMaxSize) {
-            // Subset DP, exact and unquantized: dp[mask] is the
-            // cheapest way to resolve the defect subset `mask`,
-            // matching the mask's lowest bit either to the boundary
-            // or to another member. Infinities (pruned pairs,
-            // unreachable boundary) propagate naturally; an
-            // infinite dp[full] means the component is infeasible.
-            const uint32_t full = (1u << m) - 1;
-            rt::resizeTo(dpCost_,
-                         static_cast<size_t>(full) + 1);
-            rt::resizeTo(dpChoice_,
-                         static_cast<size_t>(full) + 1);
-            double *const dp = dpCost_.data();
-            int8_t *const choice_of = dpChoice_.data();
-            dp[0] = 0.0;
-            for (uint32_t mask = 1; mask <= full; ++mask) {
-                const int i = std::countr_zero(mask);
-                const uint32_t rest = mask & (mask - 1);
-                const double *const prow =
-                    sub_.pairWeight.data() +
-                    static_cast<size_t>(i) * m;
-                double best = sub_.boundaryWeight[i] + dp[rest];
-                int8_t choice = -1;
-                for (uint32_t bits = rest; bits != 0;) {
-                    const uint32_t low = bits & (0u - bits);
-                    bits ^= low;
-                    const int j = std::countr_zero(low);
-                    const double w = prow[j] + dp[rest ^ low];
-                    if (w < best) {
-                        best = w;
-                        choice = static_cast<int8_t>(j);
-                    }
-                }
-                dp[mask] = best;
-                choice_of[mask] = choice;
-            }
-            if (!std::isfinite(dp[full])) {
-                out.valid = false;
-                return;
-            }
-            uint32_t mask = full;
-            while (mask != 0) {
-                const int i = std::countr_zero(mask);
-                const int8_t choice = dpChoice_[mask];
-                mask &= mask - 1;
-                if (choice < 0) {
-                    out.mate[mem[i]] = -1;
-                } else {
-                    out.mate[mem[i]] = mem[choice];
-                    out.mate[mem[choice]] = mem[i];
-                    mask ^= 1u << choice;
-                }
-            }
-            continue;
+        if (m <= kExhaustiveMaxSize) {
+            exhaustive_.solve(sub_, subSol_);
+        } else {
+            blossom_.solve(sub_, subSol_);
         }
-        blossom_.solve(sub_, subSol_);
         if (!subSol_.valid) {
             out.valid = false;
             return;

@@ -11,8 +11,9 @@
  * adjacency (via DistanceOracle) and keeps only the *candidate*
  * pairs that can appear in some optimal matching; SparseMatcher
  * then decomposes the candidate graph into connected components and
- * solves each exactly — closed forms for 1-2 defects, an unquantized
- * subset DP up to kDpMaxSize, the blossom core beyond.
+ * solves each exactly — closed forms for 1-2 defects, the
+ * ExhaustiveSolver branch-and-bound up to kExhaustiveMaxSize, the
+ * blossom core beyond.
  *
  * Exactness: a pair (i, j) with d(i, j) >= db(i) + db(j) — the sum
  * of the two boundary distances — is never needed: replacing the
@@ -62,6 +63,7 @@
 #include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/matching/blossom.hpp"
+#include "qec/matching/exhaustive.hpp"
 #include "qec/matching/matching_problem.hpp"
 
 namespace qec
@@ -132,10 +134,11 @@ class SparseMatchingProblem
 /**
  * Exact solver over a SparseMatchingProblem: connected-component
  * decomposition of the candidate graph, a closed form for 1- and
- * 2-defect components, an exact subset-DP for small components (the
- * overwhelmingly common case after pruning), and the reusable
- * blossom core for the rest. Fills the same MatchingSolution as the
- * dense solvers (mates are local defect indices, -1 = boundary).
+ * 2-defect components, the repo's small-k exact engine
+ * (ExhaustiveSolver) for small components (the overwhelmingly
+ * common case after pruning), and the reusable blossom core for the
+ * rest. Fills the same MatchingSolution as the dense solvers (mates
+ * are local defect indices, -1 = boundary).
  */
 class SparseMatcher
 {
@@ -143,11 +146,9 @@ class SparseMatcher
     void solve(const SparseMatchingProblem &problem,
                MatchingSolution &out);
 
-    /** Largest component solved by the subset DP (2^m states); the
-     *  blossom core takes over above this. At 12 the DP table is
-     *  4096 doubles and the DP is still well under the doubled-graph
-     *  blossom's cost at the same size. */
-    static constexpr int kDpMaxSize = 12;
+    /** Largest component solved by the ExhaustiveSolver; the
+     *  blossom core takes over above this. */
+    static constexpr int kExhaustiveMaxSize = 12;
 
   private:
     int32_t find(int32_t x);
@@ -160,9 +161,8 @@ class SparseMatcher
     std::vector<int32_t> localPos_; //!< Local -> index within comp.
     MatchingProblem sub_;           //!< Per-component dense problem.
     MatchingSolution subSol_;
+    ExhaustiveSolver exhaustive_;
     BlossomSolver blossom_;
-    std::vector<double> dpCost_;    //!< Subset DP: cost per mask.
-    std::vector<int8_t> dpChoice_;  //!< Mate of the mask's low bit.
 };
 
 } // namespace qec

@@ -138,6 +138,10 @@ TEST(DecoderSpec, BuildRejectsUnknownComponentsAndOptions)
     EXPECT_THROW(try_build("astrea?ns_per_cycle=0"), SpecError);
     EXPECT_THROW(try_build("astrea?ns_per_cycle=-4"), SpecError);
     EXPECT_THROW(try_build("astrea?hw_threshold=-1"), SpecError);
+    // Above the exact engine's 32-bit mask (and where the pairing
+    // count would overflow the latency model's long long).
+    EXPECT_THROW(try_build("astrea?hw_threshold=33"), SpecError);
+    EXPECT_NE(try_build("astrea?hw_threshold=32"), nullptr);
     EXPECT_THROW(try_build("promatch+astrea?promatch_lanes=0"),
                  SpecError);
     EXPECT_THROW(try_build("astrea_g?astrea_g_prune=0"), SpecError);

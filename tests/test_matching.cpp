@@ -5,13 +5,20 @@
  * The blossom implementation is validated against the exhaustive
  * oracle over thousands of random instances, including instances with
  * forbidden edges and odd-cycle structures that force blossom
- * shrinking.
+ * shrinking. The exhaustive engine's branch-and-bound is in turn
+ * checked bit for bit against a plain depth-first enumeration kept
+ * here as an independent reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "qec/api/decoder_spec.hpp"
+#include "qec/api/registry.hpp"
+#include "qec/decoders/workspace.hpp"
+#include "qec/harness/context.hpp"
+#include "qec/harness/importance_sampler.hpp"
 #include "qec/matching/blossom.hpp"
 #include "qec/matching/exhaustive.hpp"
 #include "qec/util/rng.hpp"
@@ -21,25 +28,37 @@ namespace qec
 namespace
 {
 
+/** Random instance whose weights come from `draw`; pairs are
+ *  missing with probability `hole`, the boundary of each defect
+ *  with probability `boundary_hole` (1 = no boundary at all). */
+template <typename Draw>
 MatchingProblem
-randomProblem(Rng &rng, int n, double no_edge_prob,
-              bool allow_boundary)
+drawProblem(Rng &rng, int n, double hole, double boundary_hole,
+            Draw draw)
 {
     MatchingProblem p;
     p.n = n;
     p.pairWeight.assign(static_cast<size_t>(n) * n, kNoEdge);
     p.boundaryWeight.assign(n, kNoEdge);
     for (int i = 0; i < n; ++i) {
-        if (allow_boundary) {
-            p.boundaryWeight[i] = 0.5 + 10.0 * rng.nextDouble();
+        if (!rng.nextBool(boundary_hole)) {
+            p.boundaryWeight[i] = draw();
         }
         for (int j = i + 1; j < n; ++j) {
-            if (!rng.nextBool(no_edge_prob)) {
-                p.setPair(i, j, 0.5 + 10.0 * rng.nextDouble());
+            if (!rng.nextBool(hole)) {
+                p.setPair(i, j, draw());
             }
         }
     }
     return p;
+}
+
+MatchingProblem
+randomProblem(Rng &rng, int n, double no_edge_prob,
+              bool allow_boundary)
+{
+    return drawProblem(rng, n, no_edge_prob, allow_boundary ? 0.0 : 1.0,
+                       [&rng] { return 0.5 + 10.0 * rng.nextDouble(); });
 }
 
 void
@@ -275,10 +294,9 @@ TEST(Matching, MatchingWeightFlagsDisallowedPairing)
     EXPECT_FALSE(badBoundary.valid);
 }
 
-TEST(Exhaustive, CountsMatchingsWithoutPruning)
+TEST(Exhaustive, UniformWeightsPreferTwoPairs)
 {
-    // With uniform weights the pruning bound never fires before a
-    // first solution exists, but we only check the oracle's result.
+    // Uniform weights: two pairs (2.0) beat any use of the boundary.
     MatchingProblem p;
     p.n = 4;
     p.pairWeight.assign(16, kNoEdge);
@@ -291,6 +309,263 @@ TEST(Exhaustive, CountsMatchingsWithoutPruning)
     const MatchingSolution s = solveExhaustive(p);
     ASSERT_TRUE(s.valid);
     EXPECT_NEAR(s.totalWeight, 2.0, 1e-9); // Two pair matches.
+    // The first such matching in DFS order: (0, 1) then (2, 3).
+    EXPECT_EQ(s.mate, (std::vector<int>{1, 0, 3, 2}));
+}
+
+/**
+ * The plain depth-first enumeration the branch-and-bound replaced,
+ * kept as an independent reference: every matching is visited in
+ * DFS order (lowest unmatched defect first, boundary before pairs,
+ * partners ascending), pruned only by the running weight against
+ * the incumbent, which a greedy matching seeds.
+ */
+class ReferenceSolver
+{
+  public:
+    explicit ReferenceSolver(const MatchingProblem &problem)
+        : problem_(problem), mate_(problem.n, -2),
+          bestMate_(problem.n, -2)
+    {
+    }
+
+    MatchingSolution
+    solve()
+    {
+        seedGreedyBound();
+        recurse(0.0);
+        MatchingSolution out;
+        if (best_ != kNoEdge) {
+            out.mate = bestMate_;
+            out.totalWeight = best_;
+            out.valid = true;
+        }
+        return out;
+    }
+
+  private:
+    void
+    recurse(double weight)
+    {
+        if (weight >= best_) {
+            return;
+        }
+        const int n = problem_.n;
+        int first = 0;
+        while (first < n && mate_[first] != -2) {
+            ++first;
+        }
+        if (first == n) {
+            best_ = weight;
+            bestMate_ = mate_;
+            return;
+        }
+        const double bw = problem_.boundaryWeight[first];
+        if (bw != kNoEdge) {
+            mate_[first] = -1;
+            recurse(weight + bw);
+            mate_[first] = -2;
+        }
+        for (int j = first + 1; j < n; ++j) {
+            const double pw = problem_.pair(first, j);
+            if (mate_[j] != -2 || pw == kNoEdge) {
+                continue;
+            }
+            mate_[first] = j;
+            mate_[j] = first;
+            recurse(weight + pw);
+            mate_[first] = -2;
+            mate_[j] = -2;
+        }
+    }
+
+    void
+    seedGreedyBound()
+    {
+        // The greedy walk commits and sums in DFS order, so one ulp
+        // above its weight keeps that matching (and every lighter
+        // one) reachable.
+        const int n = problem_.n;
+        double bound = 0.0;
+        for (int first = 0; first < n; ++first) {
+            if (mate_[first] != -2) {
+                continue;
+            }
+            double best_w = problem_.boundaryWeight[first];
+            int best_j = -1;
+            for (int j = first + 1; j < n; ++j) {
+                if (mate_[j] == -2 &&
+                    problem_.pair(first, j) < best_w) {
+                    best_w = problem_.pair(first, j);
+                    best_j = j;
+                }
+            }
+            if (best_w == kNoEdge) {
+                mate_.assign(n, -2);
+                return;
+            }
+            mate_[first] = best_j;
+            if (best_j >= 0) {
+                mate_[best_j] = first;
+            }
+            bound += best_w;
+        }
+        mate_.assign(n, -2);
+        best_ = std::nextafter(bound, kNoEdge);
+    }
+
+    const MatchingProblem &problem_;
+    std::vector<int> mate_, bestMate_;
+    double best_ = kNoEdge;
+};
+
+/** Bit-equal valid flag, mates and weight against the reference;
+ *  one solver is reused across calls (stale-state guard). */
+void
+expectMatchesReference(ExhaustiveSolver &solver,
+                       const MatchingProblem &problem,
+                       MatchingSolution &out, int trial)
+{
+    const MatchingSolution ref = ReferenceSolver(problem).solve();
+    solver.solve(problem, out);
+    ASSERT_EQ(out.valid, ref.valid) << "trial " << trial;
+    if (!ref.valid) {
+        return;
+    }
+    EXPECT_EQ(out.mate, ref.mate) << "trial " << trial;
+    EXPECT_EQ(out.totalWeight, ref.totalWeight) << "trial " << trial;
+}
+
+TEST(Exhaustive, MatchesReferenceOnIntegerTies)
+{
+    // Weights in {1, 2, 3, 4} make exact ties common, so this pins
+    // the DFS-first choice among equal-weight optima. Instances mix
+    // kNoEdge holes, partial and absent boundaries (odd n without a
+    // boundary is infeasible).
+    Rng rng(0x7135);
+    ExhaustiveSolver solver;
+    MatchingSolution out;
+    const auto draw = [&rng] {
+        return static_cast<double>(1 + rng.nextBelow(4));
+    };
+    for (int trial = 0; trial < 1500; ++trial) {
+        const int n = static_cast<int>(rng.nextBelow(15));
+        const double hole = trial % 3 == 0 ? 0.0 : 0.3;
+        const double boundary_hole =
+            trial % 4 == 0 ? 1.0 : (trial % 4 == 1 ? 0.3 : 0.0);
+        expectMatchesReference(
+            solver, drawProblem(rng, n, hole, boundary_hole, draw),
+            out, trial);
+    }
+}
+
+TEST(Exhaustive, MatchesReferenceOnFloatWeights)
+{
+    // Float-valued weights, like the PathTable's distance cells.
+    Rng rng(0xf10a7);
+    ExhaustiveSolver solver;
+    MatchingSolution out;
+    const auto draw = [&rng] {
+        return static_cast<double>(
+            static_cast<float>(0.5 + 10.0 * rng.nextDouble()));
+    };
+    for (int trial = 0; trial < 1500; ++trial) {
+        const int n = static_cast<int>(rng.nextBelow(15));
+        const double hole = trial % 2 == 0 ? 0.0 : 0.25;
+        const double boundary_hole = trial % 5 == 0 ? 1.0 : 0.1;
+        expectMatchesReference(
+            solver, drawProblem(rng, n, hole, boundary_hole, draw),
+            out, trial);
+    }
+}
+
+TEST(Exhaustive, MatchesReferenceOnDecimalNearTies)
+{
+    // Decimal weights (0.1 .. 4.0) are inexact in binary, so equal
+    // decimal sums differ by an ulp depending on summation order:
+    // near-ties the bound's rounding margin must not cut. Without a
+    // boundary every finite pair is a candidate, so bit-equality
+    // holds on these inexact sums too.
+    Rng rng(0xdec2);
+    ExhaustiveSolver solver;
+    MatchingSolution out;
+    const auto draw = [&rng] {
+        return static_cast<double>(1 + rng.nextBelow(40)) / 10.0;
+    };
+    for (int trial = 0; trial < 3000; ++trial) {
+        const int n = 2 * static_cast<int>(rng.nextBelow(8));
+        expectMatchesReference(
+            solver, drawProblem(rng, n, 0.0, 1.0, draw),
+            out, trial);
+    }
+}
+
+TEST(Exhaustive, MatchesReferenceOnPromatchResiduals)
+{
+    // The defect graphs Astrea solves behind Promatch: importance-
+    // sampled syndromes at the benchmark's k range, predecoded, and
+    // the residual's graph read back from the workspace.
+    for (const int d : {11, 13}) {
+        const auto &ctx = ExperimentContext::get(d, 1e-4);
+        auto decoder = build(DecoderSpec::parse("promatch+astrea"),
+                             ctx.graph(), ctx.paths());
+        const int max_hw = LatencyConfig{}.astreaMaxHw;
+        ImportanceSampler sampler(ctx.dem(), 20);
+        ImportanceSampler::Sample sample;
+        DecodeWorkspace workspace;
+        ExhaustiveSolver solver;
+        MatchingSolution out;
+        int checked = 0;
+        for (int i = 0; i < 100; ++i) {
+            for (int k = 6; k <= 20; ++k) {
+                Rng rng = Rng::forSample(d, k, i);
+                sampler.sample(k, rng, sample);
+                decoder->decode(sample.defects, workspace);
+                // Astrea's input: the syndrome itself when it is
+                // within reach, else the predecoder's residual.
+                const int hw = static_cast<int>(
+                    static_cast<int>(sample.defects.size()) <= max_hw
+                        ? sample.defects.size()
+                        : workspace.predecodeResult.residual.size());
+                if (hw == 0 || hw > max_hw) {
+                    continue; // Astrea built no graph.
+                }
+                const MatchingProblem &problem =
+                    workspace.defectGraph.problem;
+                ASSERT_EQ(problem.n, hw);
+                expectMatchesReference(solver, problem, out,
+                                       k * 1000 + i);
+                ++checked;
+            }
+        }
+        EXPECT_GT(checked, 1200) << "d=" << d;
+    }
+}
+
+TEST(Exhaustive, FullWidthMaskAndCap)
+{
+    // 32 defects fill the mask: chain pairs (2i, 2i+1) are the only
+    // cheap edges, so the optimum is those 16 pairs.
+    const int n = ExhaustiveSolver::kMaxDefects;
+    MatchingProblem p;
+    p.n = n;
+    p.pairWeight.assign(static_cast<size_t>(n) * n, kNoEdge);
+    p.boundaryWeight.assign(n, 10.0);
+    for (int i = 0; i + 1 < n; ++i) {
+        p.setPair(i, i + 1, i % 2 == 0 ? 1.0 : 3.0);
+    }
+    const MatchingSolution s = solveExhaustive(p);
+    ASSERT_TRUE(s.valid);
+    EXPECT_DOUBLE_EQ(s.totalWeight, 16.0);
+    for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(s.mate[i], i ^ 1) << i;
+    }
+    // One more defect than mask bits is a contract breach.
+    MatchingProblem big;
+    big.n = n + 1;
+    big.pairWeight.assign(static_cast<size_t>(n + 1) * (n + 1), 1.0);
+    big.boundaryWeight.assign(n + 1, 1.0);
+    EXPECT_DEATH(solveExhaustive(big), "more defects than mask bits");
 }
 
 } // namespace
