@@ -108,6 +108,13 @@ PredecodedDecoder::decodeBlock(std::span<const uint64_t> detectorWords,
     QEC_REALTIME;
     QEC_ASSERT(lanes >= 1 && lanes <= 64,
                "decodeBlock lane count must be in [1, 64]");
+    if (!pre->hasBlockKernel()) {
+        // Without a word kernel the block path only adds a second
+        // scatter and a residual merge to the per-lane decodes.
+        Decoder::decodeBlock(detectorWords, lanes, workspace,
+                             results);
+        return;
+    }
     const uint64_t laneMask = laneMask64(lanes);
     BlockScratch &block = workspace.block;
     scatterBlockLanes(detectorWords, laneMask, block.laneDefects);

@@ -127,6 +127,18 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
                                                         edge.id};
         }
     }
+    // Rows are ascending, so the forward part starts after the
+    // last backward neighbor.
+    graph.pairForward_.resize(n);
+    for (uint32_t d = 0; d < n; ++d) {
+        const auto row = graph.pairNeighbors(d);
+        const auto fwd = std::partition_point(
+            row.begin(), row.end(),
+            [d](const PairHalfEdge &h) { return h.neighbor <= d; });
+        graph.pairForward_[d] =
+            graph.pairOffsets_[d] +
+            static_cast<uint32_t>(fwd - row.begin());
+    }
     return graph;
 }
 

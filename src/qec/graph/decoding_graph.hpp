@@ -99,14 +99,27 @@ class DecodingGraph
 
     /**
      * Detector-detector half-edges of a detector (boundary edges
-     * excluded), in the same relative order as adjacentEdges(). The
-     * hot subgraph construction walks these 8-byte records instead
-     * of chasing edge ids into the 40-byte GraphEdge AoS.
+     * excluded), in the same relative order as adjacentEdges().
+     * Edges are created in ascending (min, max) endpoint order, so
+     * every row is strictly ascending by neighbor: the backward
+     * neighbors (< det), then the forward ones (> det).
      */
     std::span<const PairHalfEdge>
     pairNeighbors(uint32_t det) const
     {
         return {pairHalfEdges_.data() + pairOffsets_[det],
+                pairHalfEdges_.data() + pairOffsets_[det + 1]};
+    }
+
+    /**
+     * The tail of pairNeighbors(det) whose neighbors exceed det:
+     * each pair edge appears in exactly one forward row, so the
+     * subgraph build scans half as many 8-byte records.
+     */
+    std::span<const PairHalfEdge>
+    pairForwardNeighbors(uint32_t det) const
+    {
+        return {pairHalfEdges_.data() + pairForward_[det],
                 pairHalfEdges_.data() + pairOffsets_[det + 1]};
     }
 
@@ -158,6 +171,8 @@ class DecodingGraph
     // Pair-edge CSR (boundary edges filtered out at construction).
     std::vector<uint32_t> pairOffsets_;
     std::vector<PairHalfEdge> pairHalfEdges_;
+    // Where row det passes det: the start of pairForwardNeighbors.
+    std::vector<uint32_t> pairForward_;
     std::vector<WeightedHalfEdge> weightedHalfEdges_; //!< Same rows.
     // SoA hot fields, parallel to edges_.
     std::vector<float> edgeWeightF_;

@@ -38,6 +38,8 @@ class CliquePredecoder : public Predecoder
                         DecodeWorkspace &workspace,
                         BlockPredecodeResult &result) override;
 
+    bool hasBlockKernel() const override { return true; }
+
     std::unique_ptr<Predecoder>
     clone() const override
     {

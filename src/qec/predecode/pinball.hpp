@@ -77,6 +77,8 @@ class PinballPredecoder : public Predecoder
                         DecodeWorkspace &workspace,
                         BlockPredecodeResult &result) override;
 
+    bool hasBlockKernel() const override { return true; }
+
     std::unique_ptr<Predecoder>
     clone() const override
     {

@@ -185,6 +185,15 @@ class Predecoder
         long long cycle_budget, DecodeWorkspace &workspace,
         BlockPredecodeResult &result);
 
+    /**
+     * True when predecodeBlock() is a word kernel. The serial
+     * fallback scatters the block, loops the lanes and merges the
+     * residuals back, which costs more than decoding each lane on
+     * its own, so PredecodedDecoder::decodeBlock only takes the
+     * block path for predecoders that override this.
+     */
+    virtual bool hasBlockKernel() const { return false; }
+
     /** Independent copy with identical configuration. */
     virtual std::unique_ptr<Predecoder> clone() const = 0;
 

@@ -14,6 +14,20 @@
 namespace qec
 {
 
+namespace
+{
+
+/** One subgraph edge as the Promatch rounds read it. */
+struct RoundEdge
+{
+    int32_t i;
+    int32_t j;
+    uint32_t eid;
+    float w; //!< DecodingGraph::edgeWeight(eid).
+};
+
+} // namespace
+
 void
 PromatchPredecoder::predecode(std::span<const uint32_t> defects,
                               long long cycle_budget,
@@ -53,12 +67,11 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         return 6; // Nothing fits; keep shrinking, pipeline aborts.
     };
 
-    const auto match_pair = [&](int i, int j) {
-        const uint32_t eid = sg.edgeIdOf(i, j);
-        result.obsMask ^= graph_.edgeObsMask(eid);
-        result.weight += graph_.edgeWeight(eid);
-        sg.kill(i);
-        sg.kill(j);
+    const auto match_pair = [&](const RoundEdge &e) {
+        result.obsMask ^= graph_.edgeObsMask(e.eid);
+        result.weight += e.w;
+        sg.kill(e.i);
+        sg.kill(e.j);
     };
 
     const auto creates_singleton = [&](int i, int j) {
@@ -67,8 +80,19 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
                    : sg.createsSingletonHw(i, j);
     };
 
-    ArenaVector<std::pair<int, int>> edges(arena, 64);
-    ArenaVector<std::pair<int, int>> isolated(arena, 16);
+    // The round edge list: the subgraph's pairs, built once with
+    // their weights and compacted in place each round to the
+    // alive-alive edges, keeping the order.
+    const std::span<const SubgraphEdge> pairs = sg.pairs();
+    RoundEdge *const edge_list =
+        arena.allocate<RoundEdge>(pairs.size());
+    for (size_t e = 0; e < pairs.size(); ++e) {
+        const SubgraphEdge &p = pairs[e];
+        edge_list[e] = {p.i, p.j, p.edgeId,
+                        graph_.edgeWeight(p.edgeId)};
+    }
+    std::span<RoundEdge> edges(edge_list, pairs.size());
+    ArenaVector<RoundEdge> isolated(arena, 16);
     ArenaVector<int> singletons(arena, 16);
 
     int guard = 0;
@@ -78,8 +102,12 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         if (hw <= target_now(result.cycles)) {
             break;
         }
-        edges.clear();
-        sg.appendAliveEdges(edges);
+        size_t kept = 0;
+        for (const RoundEdge &e : edges) {
+            edge_list[kept] = e;
+            kept += sg.alive(e.i) && sg.alive(e.j);
+        }
+        edges = edges.first(kept);
 
         if (!engaged) {
             // Subgraph generation and edge-table loads (§4.2) are
@@ -98,18 +126,18 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
 
         // --- Step 1: isolated pairs, applied as a batch.
         isolated.clear();
-        for (const auto &[i, j] : edges) {
-            if (sg.degree(i) == 1 && sg.degree(j) == 1) {
-                isolated.push_back({i, j});
+        for (const RoundEdge &e : edges) {
+            if (sg.degree(e.i) == 1 && sg.degree(e.j) == 1) {
+                isolated.push_back(e);
             }
         }
         if (!isolated.empty()) {
             result.steps.step1 = true;
-            for (const auto &[i, j] : isolated) {
+            for (const RoundEdge &e : isolated) {
                 if (sg.aliveCount() <= target_now(result.cycles)) {
                     break;
                 }
-                match_pair(i, j);
+                match_pair(e);
             }
             continue;
         }
@@ -118,23 +146,21 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         struct Candidate
         {
             double weight = kNoEdge;
-            int i = -1, j = -1;
+            const RoundEdge *edge = nullptr;
         };
         Candidate c21, c22, c41, c42;
-        const auto consider = [&](Candidate &c, int i, int j,
-                                  double w) {
-            if (w < c.weight) {
-                c = {w, i, j};
+        const auto consider = [&](Candidate &c, const RoundEdge &e) {
+            if (e.w < c.weight) {
+                c = {e.w, &e};
             }
         };
-        for (const auto &[i, j] : edges) {
-            const double w = sg.edgeWeightOf(i, j);
+        for (const RoundEdge &e : edges) {
             const bool deg1 =
-                std::min(sg.degree(i), sg.degree(j)) == 1;
-            if (!creates_singleton(i, j)) {
-                consider(deg1 ? c21 : c22, i, j, w);
+                std::min(sg.degree(e.i), sg.degree(e.j)) == 1;
+            if (!creates_singleton(e.i, e.j)) {
+                consider(deg1 ? c21 : c22, e);
             } else {
-                consider(deg1 ? c41 : c42, i, j, w);
+                consider(deg1 ? c41 : c42, e);
             }
         }
 
@@ -148,7 +174,7 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         };
         Step3Candidate c3;
         bool used_step3_scan = false;
-        if (config_.enableStep3 && c21.i < 0 && c22.i < 0) {
+        if (config_.enableStep3 && !c21.edge && !c22.edge) {
             singletons.clear();
             for (int i = 0; i < sg.size(); ++i) {
                 if (sg.alive(i) && sg.degree(i) == 0) {
@@ -196,12 +222,12 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         }
 
         // --- Commit exactly one match, in priority order.
-        if (c21.i >= 0) {
+        if (c21.edge) {
             result.steps.step2 = true;
-            match_pair(c21.i, c21.j);
-        } else if (c22.i >= 0) {
+            match_pair(*c21.edge);
+        } else if (c22.edge) {
             result.steps.step2 = true;
-            match_pair(c22.i, c22.j);
+            match_pair(*c22.edge);
         } else if (used_step3_scan && c3.singleton >= 0) {
             result.steps.step3 = true;
             if (c3.partner < 0) {
@@ -215,12 +241,12 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
                 sg.kill(c3.singleton);
                 sg.kill(c3.partner);
             }
-        } else if (config_.enableStep4 && c41.i >= 0) {
+        } else if (config_.enableStep4 && c41.edge) {
             result.steps.step4 = true;
-            match_pair(c41.i, c41.j);
-        } else if (config_.enableStep4 && c42.i >= 0) {
+            match_pair(*c41.edge);
+        } else if (config_.enableStep4 && c42.edge) {
             result.steps.step4 = true;
-            match_pair(c42.i, c42.j);
+            match_pair(*c42.edge);
         } else {
             break; // No candidate anywhere: coverage exhausted.
         }

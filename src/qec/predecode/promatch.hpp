@@ -26,6 +26,14 @@
  * max(#paths, #edges) extra. The adaptive HW target is the largest
  * T in {10, 8, 6} such that the main decoder's modeled latency at
  * HW = T still fits in the remaining budget.
+ *
+ * In software the rounds run on one edge list per call: the
+ * subgraph's pairs() (ordered by (i, j)) copied once into the
+ * workspace arena as {i, j, edge id, float weight} records and
+ * compacted in place at the start of every round to the alive-alive
+ * edges, order kept. Every scan reads that list, and Steps 1, 2 and
+ * 4 commit through the stored edge id, so no round searches a CSR
+ * row for an edge.
  */
 
 #ifndef QEC_PREDECODE_PROMATCH_HPP

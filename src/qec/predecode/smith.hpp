@@ -37,6 +37,8 @@ class SmithPredecoder : public Predecoder
                         DecodeWorkspace &workspace,
                         BlockPredecodeResult &result) override;
 
+    bool hasBlockKernel() const override { return true; }
+
     std::unique_ptr<Predecoder>
     clone() const override
     {

@@ -1,7 +1,5 @@
 #include "qec/predecode/syndrome_subgraph.hpp"
 
-#include <algorithm>
-
 #include "qec/util/assert.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
@@ -9,98 +7,133 @@
 namespace qec
 {
 
+namespace
+{
+
+/** Grow a scratch array only when a build needs more than any
+ *  earlier one; builds then write by index. */
+template <typename T>
+void
+growTo(std::vector<T> &v, size_t n)
+{
+    if (v.size() < n) {
+        rt::resizeTo(v, n);
+    }
+}
+
+} // namespace
+
 void
 SyndromeSubgraph::build(const DecodingGraph &graph,
                         std::span<const uint32_t> defects)
 {
     QEC_REALTIME;
-    // Membership scratch: initialize once per graph (the only
-    // allocation this type ever performs), then clear just the
-    // previous syndrome's marks.
+    // Membership scratch: initialize once per graph (the one
+    // graph-sized allocation), then clear just the previous
+    // syndrome's marks.
     if (graph_ != &graph ||
         localIndex_.size() != graph.numDetectors()) {
         rt::assignFill(localIndex_, graph.numDetectors(), -1);
     } else {
-        for (uint32_t det : dets_) {
-            localIndex_[det] = -1;
+        for (int i = 0; i < n_; ++i) {
+            localIndex_[dets_[i]] = -1;
         }
     }
     graph_ = &graph;
-    rt::assignRange(dets_, defects.begin(), defects.end());
-    const int n = size();
-    rt::assignFill<uint8_t>(alive_, n, 1);
+    const int n = static_cast<int>(defects.size());
+    n_ = n;
     aliveCount_ = n;
-    rt::assignFill(adjOffset_, n + 1, 0);
+    numDirty_ = 0;
+    growTo(dets_, n);
+    growTo(alive_, n);
+    growTo(deg_, n);
+    growTo(dependent_, n);
+    growTo(degLive_, n);
+    growTo(depLive_, n);
+    growTo(dirty_, n + 1);
+    growTo(dirtyFlag_, n);
+    growTo(adjOffset_, n + 1);
+
+    // Node pass: index the defects, reset the per-node state and
+    // bound the edge count by the forward half-edges to scan.
+    size_t forward = 0;
     for (int i = 0; i < n; ++i) {
-        localIndex_[dets_[i]] = i;
+        const uint32_t det = defects[i];
+        dets_[i] = det;
+        localIndex_[det] = i;
+        alive_[i] = 1;
+        dirtyFlag_[i] = 0;
+        degLive_[i] = 0;
+        depLive_[i] = 0;
+        dependent_[i] = 0;
+        forward += graph.pairForwardNeighbors(det).size();
     }
 
-    // Single pass over the pair-edge CSR, appending straight into
-    // the local CSR arrays: the outer loop visits rows in ascending
-    // order, so the entries land already grouped and only the
-    // offsets need a prefix sum. Row i holds every in-set neighbor
-    // of defect i, in the order of graph.adjacentEdges(dets[i])
-    // minus boundary edges (the pair CSR preserves that order);
-    // membership is one O(1) scratch lookup per half-edge.
-    adjNode_.clear();
-    adjEdge_.clear();
+    // Edge pass: every forward half-edge writes its record and
+    // keeps it only when the neighbor is in the set, so the t-th
+    // write lands at an index <= t and `forward` slots suffice.
+    // Defects are sorted, so a kept j exceeds i, and the forward
+    // rows ascend: the list comes out ordered by (i, j).
+    growTo(pairs_, forward);
+    SubgraphEdge *const pairs = pairs_.data();
+    int o = 0;
     for (int i = 0; i < n; ++i) {
         for (const PairHalfEdge &half :
-             graph.pairNeighbors(dets_[i])) {
+             graph.pairForwardNeighbors(dets_[i])) {
             const int32_t j = localIndex_[half.neighbor];
-            if (j >= 0) {
-                rt::pushBack(adjNode_, j);
-                rt::pushBack(adjEdge_, half.edgeId);
-                ++adjOffset_[i + 1];
-            }
+            pairs[o] = {i, j, half.edgeId};
+            o += j >= 0;
         }
     }
-    for (int i = 0; i < n; ++i) {
-        adjOffset_[i + 1] += adjOffset_[i];
+    numPairs_ = o;
+    for (int e = 0; e < o; ++e) {
+        ++degLive_[pairs[e].i];
+        ++degLive_[pairs[e].j];
     }
-    // All nodes start alive, so the live degree is the static row
-    // length and #dependent counts static degree-1 neighbors; the
-    // first snapshot is published directly.
-    rt::assignFill(degLive_, n, 0);
-    rt::assignFill(depLive_, n, 0);
-    dirty_.clear();
+
+    // Row ends and the degree snapshot. The fill below walks the
+    // list backwards and pre-decrements each row's end, so rows get
+    // the list order (backward neighbors ascending, then forward
+    // ones ascending) and adjOffset_[i] ends at row i's start.
+    int32_t end = 0;
     for (int i = 0; i < n; ++i) {
-        degLive_[i] = adjOffset_[i + 1] - adjOffset_[i];
+        end += degLive_[i];
+        adjOffset_[i] = end;
+        deg_[i] = degLive_[i];
     }
-    for (int i = 0; i < n; ++i) {
-        int dep = 0;
-        for (int j : neighbors(i)) {
-            if (degLive_[j] == 1) {
-                ++dep;
-            }
-        }
-        depLive_[i] = dep;
+    adjOffset_[n] = end;
+    growTo(adjNode_, static_cast<size_t>(end));
+    growTo(adjEdge_, static_cast<size_t>(end));
+    for (int e = o - 1; e >= 0; --e) {
+        const SubgraphEdge &p = pairs[e];
+        const int32_t at_i = --adjOffset_[p.i];
+        adjNode_[at_i] = p.j;
+        adjEdge_[at_i] = p.edgeId;
+        const int32_t at_j = --adjOffset_[p.j];
+        adjNode_[at_j] = p.i;
+        adjEdge_[at_j] = p.edgeId;
+        // All nodes start alive, so #dependent counts degree-1
+        // neighbors; live and published counters start equal.
+        const int dep_i = degLive_[p.j] == 1 ? 1 : 0;
+        const int dep_j = degLive_[p.i] == 1 ? 1 : 0;
+        depLive_[p.i] += dep_i;
+        dependent_[p.i] += dep_i;
+        depLive_[p.j] += dep_j;
+        dependent_[p.j] += dep_j;
     }
-    rt::assignRange(deg_, degLive_.begin(), degLive_.end());
-    rt::assignRange(dependent_, depLive_.begin(),
-                    depLive_.end());
 }
 
 void
 SyndromeSubgraph::refresh()
 {
     QEC_REALTIME;
-    for (const int32_t i : dirty_) {
+    for (int d = 0; d < numDirty_; ++d) {
+        const int32_t i = dirty_[d];
         deg_[i] = degLive_[i];
         dependent_[i] = depLive_[i];
+        dirtyFlag_[i] = 0;
     }
-    dirty_.clear();
-}
-
-uint32_t
-SyndromeSubgraph::edgeIdOf(int i, int j) const
-{
-    for (int32_t o = adjOffset_[i]; o < adjOffset_[i + 1]; ++o) {
-        if (adjNode_[o] == j) {
-            return adjEdge_[o];
-        }
-    }
-    QEC_PANIC("edgeIdOf called on non-adjacent pair");
+    numDirty_ = 0;
 }
 
 bool
@@ -143,7 +176,7 @@ SyndromeSubgraph::kill(int i)
         for (const int j : neighbors(i)) {
             if (alive_[j]) {
                 --depLive_[j];
-                rt::pushBack(dirty_, j);
+                markDirty(j);
             }
         }
     }
@@ -154,7 +187,7 @@ SyndromeSubgraph::kill(int i)
             continue;
         }
         const int old_deg = degLive_[j]--;
-        rt::pushBack(dirty_, j);
+        markDirty(j);
         if (old_deg == 2) {
             // j just became degree-1: every remaining alive
             // neighbor of j now depends on it. (A 1 -> 0 transition
@@ -162,14 +195,14 @@ SyndromeSubgraph::kill(int i)
             for (const int k : neighbors(j)) {
                 if (alive_[k]) {
                     ++depLive_[k];
-                    rt::pushBack(dirty_, k);
+                    markDirty(k);
                 }
             }
         }
     }
     degLive_[i] = 0;
     depLive_[i] = 0;
-    rt::pushBack(dirty_, i);
+    markDirty(i);
 }
 
 } // namespace qec

@@ -1,5 +1,6 @@
 #include "qec/sim/frame_simulator.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "qec/util/assert.hpp"
@@ -68,11 +69,29 @@ FrameSimulator::run(Rng *rng, const std::vector<Injection> *injections,
     out.detectors.assign(circuit_.numDetectors(), 0);
     out.observables.assign(circuit_.numObservables(), 0);
 
-    // Group injections by instruction for O(1) dispatch in the walk.
-    // Instruction indices are visited in order, so a cursor suffices
-    // if the list is sorted; we instead scan the (tiny, <= 64) list.
+    // Injection mode: every frame stays zero before the batch's
+    // first faulty instruction, so that prefix only records zero
+    // measurements; after its last one no noise channel has a fault
+    // left to apply. Record flips are scanned for only when some
+    // lane carries one.
+    const auto &instructions = circuit_.instructions();
+    uint32_t first_op = static_cast<uint32_t>(instructions.size());
+    uint32_t last_op = 0;
+    bool any_record_flip = false;
+    if (injections) {
+        for (const Injection &inj : *injections) {
+            first_op = std::min(first_op, inj.opIndex);
+            last_op = std::max(last_op, inj.opIndex);
+            any_record_flip = any_record_flip || inj.recordFlip;
+        }
+    }
+
+    // The (tiny, <= 64) injection list is scanned per noise op.
     const auto apply_injections = [&](uint32_t op_index,
                                       const Instruction &inst) {
+        if (op_index > last_op) {
+            return;
+        }
         for (size_t lane = 0; lane < injections->size(); ++lane) {
             const Injection &inj = (*injections)[lane];
             if (inj.opIndex != op_index || inj.recordFlip) {
@@ -95,9 +114,14 @@ FrameSimulator::run(Rng *rng, const std::vector<Injection> *injections,
         }
     };
 
-    const auto &instructions = circuit_.instructions();
     for (uint32_t idx = 0; idx < instructions.size(); ++idx) {
         const Instruction &inst = instructions[idx];
+        if (!rng && idx < first_op) {
+            if (inst.type == OpType::M) {
+                record.resize(record.size() + inst.targets.size(), 0);
+            }
+            continue;
+        }
         switch (inst.type) {
           case OpType::R:
             for (uint32_t q : inst.targets) {
@@ -129,9 +153,7 @@ FrameSimulator::run(Rng *rng, const std::vector<Injection> *injections,
                     result ^= rng->biasedMask64(inst.arg);
                     // Measurement decoheres the conjugate frame.
                     frameZ[q] = rng->next64();
-                } else {
-                    const uint32_t rec_index =
-                        static_cast<uint32_t>(record.size());
+                } else if (any_record_flip) {
                     for (size_t lane = 0; lane < injections->size();
                          ++lane) {
                         const Injection &inj = (*injections)[lane];
@@ -141,7 +163,6 @@ FrameSimulator::run(Rng *rng, const std::vector<Injection> *injections,
                             result ^= 1ull << lane;
                         }
                     }
-                    (void)rec_index;
                 }
                 record.push_back(result);
             }

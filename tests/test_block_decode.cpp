@@ -291,6 +291,27 @@ TEST(BlockDecode, PredecodeBlockMatchesSerialOnRandomDem)
                                       "random-dem");
 }
 
+TEST(BlockDecode, OnlyWordKernelsTakeTheBlockPath)
+{
+    // PredecodedDecoder::decodeBlock takes the block path only for
+    // predecoders with a word kernel; Promatch and Hierarchical
+    // loop their lanes through decode().
+    const auto &ctx = ExperimentContext::get(5, 1e-3);
+    const DecoderRegistry &registry = DecoderRegistry::instance();
+    const BuildContext context{ctx.graph(), ctx.paths(),
+                               LatencyConfig{}, PromatchConfig{},
+                               PinballConfig{}};
+    for (const std::string &name :
+         registry.predecoderComponents()) {
+        const bool word_kernel =
+            name == "pinball" || name == "smith" || name == "clique";
+        EXPECT_EQ(registry.buildPredecoder(name, context)
+                      ->hasBlockKernel(),
+                  word_kernel)
+            << name;
+    }
+}
+
 TEST(BlockDecode, ScatterBlockLanesMatchesPerLaneExtraction)
 {
     Rng rng(0x5ca7);

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "qec/dem/decompose.hpp"
 #include "qec/dem/dem.hpp"
@@ -141,6 +142,53 @@ TEST_P(SurfaceDemTest, SurfaceCodeDemIsCleanlyGraphlike)
 
 INSTANTIATE_TEST_SUITE_P(SmallDistances, SurfaceDemTest,
                          ::testing::Values(3, 5));
+
+/** FNV-1a step over one 64-bit word. */
+uint64_t
+mixDigest(uint64_t h, uint64_t word)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (word >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * The surface-code DEMs at d in {3, 5, 11} (d rounds, p = 1e-3),
+ * mechanism by mechanism in insertion order: detector lists,
+ * observable masks and probability bits. The golden values were
+ * recorded before the injection-mode FrameSimulator shortcuts
+ * (zero prefix, no injections past the batch's last fault, record
+ * flips scanned only when a lane carries one), which must leave
+ * every mechanism bit-identical.
+ */
+TEST(Dem, SurfaceCodeDemsMatchRecordedDigests)
+{
+    const std::pair<int, uint64_t> cases[] = {
+        {3, 0x89edc26ef17a9312},
+        {5, 0x8872802077b6109c},
+        {11, 0x0da893d794a20a84}};
+    for (const auto &[d, digest] : cases) {
+        SurfaceCodeLayout layout(d);
+        const MemoryExperiment exp =
+            generateMemoryZ(layout, d, NoiseParams::uniform(1e-3));
+        const DetectorErrorModel dem =
+            buildDetectorErrorModel(exp.circuit);
+        uint64_t h = 0xcbf29ce484222325ull;
+        h = mixDigest(h, dem.numDetectors());
+        h = mixDigest(h, dem.numObservables());
+        for (const DemMechanism &mech : dem.mechanisms()) {
+            h = mixDigest(h, mech.dets.size());
+            for (uint32_t det : mech.dets) {
+                h = mixDigest(h, det);
+            }
+            h = mixDigest(h, mech.obsMask);
+            h = mixDigest(h, std::bit_cast<uint64_t>(mech.prob));
+        }
+        EXPECT_EQ(h, digest) << "d=" << d;
+    }
+}
 
 TEST(SurfaceDem, PredictsSimulatorDetectorRates)
 {

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the decoding graph and path tables, including a
+ * Tests for the decoding graph and path tables, including the
+ * ascending pair rows the subgraph build relies on, a
  * Floyd-Warshall cross-check of the Dijkstra all-pairs distances,
  * the DistanceOracle contract on deferred tables, and admissibility
  * of the landmark lower bound.
@@ -16,6 +17,9 @@
 #include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
+#include "qec/sim/error_enumerator.hpp"
+#include "qec/surface/circuit_gen.hpp"
+#include "qec/surface/layout.hpp"
 #include "qec/util/rng.hpp"
 
 namespace qec
@@ -73,6 +77,45 @@ TEST(DecodingGraph, MergesParallelEdgesKeepingDominantObs)
     EXPECT_NEAR(graph.edges()[0].prob,
                 0.2 * 0.99 + 0.01 * 0.8, 1e-12);
     EXPECT_EQ(graph.obsConflicts(), 1u);
+}
+
+TEST(DecodingGraph, PairRowsAscendAndSplitAtTheDetector)
+{
+    // SyndromeSubgraph::build scans only pairForwardNeighbors and
+    // rebuilds each row's order from it, which holds only if every
+    // pair row is strictly ascending by neighbor.
+    for (int d : {3, 5, 11, 13, 17}) {
+        SurfaceCodeLayout layout(d);
+        const MemoryExperiment exp =
+            generateMemoryZ(layout, d, NoiseParams::uniform(1e-4));
+        const DecodingGraph graph = DecodingGraph::fromDem(
+            decomposeToGraphlike(buildDetectorErrorModel(exp.circuit)));
+        size_t forward_total = 0;
+        for (uint32_t det = 0; det < graph.numDetectors(); ++det) {
+            const auto row = graph.pairNeighbors(det);
+            for (size_t k = 1; k < row.size(); ++k) {
+                ASSERT_LT(row[k - 1].neighbor, row[k].neighbor)
+                    << "d=" << d << " det=" << det;
+            }
+            const auto fwd = graph.pairForwardNeighbors(det);
+            ASSERT_EQ(fwd.data() + fwd.size(),
+                      row.data() + row.size());
+            for (const PairHalfEdge &half : row) {
+                const bool in_forward =
+                    &half >= fwd.data() &&
+                    &half < fwd.data() + fwd.size();
+                EXPECT_EQ(in_forward, half.neighbor > det)
+                    << "d=" << d << " det=" << det;
+            }
+            forward_total += fwd.size();
+        }
+        // Each pair edge sits in exactly one forward row.
+        size_t pair_edges = 0;
+        for (const GraphEdge &edge : graph.edges()) {
+            pair_edges += edge.v != kBoundary;
+        }
+        EXPECT_EQ(forward_total, pair_edges) << "d=" << d;
+    }
 }
 
 TEST(PathTable, ShortestPathsAvoidHeavyEdge)

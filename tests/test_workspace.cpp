@@ -12,7 +12,9 @@
  *    serially and through decodeBatch at threads {1, 8};
  *  - MonotonicArena / ArenaVector unit behavior (reset keeps
  *    capacity, growth preserves contents);
- *  - SyndromeSubgraph rebuild-in-place equivalence.
+ *  - SyndromeSubgraph rebuild-in-place equivalence, row order and
+ *    edge ids against the graph's pair rows, and a golden digest
+ *    of Promatch's outputs (the subgraph's main consumer).
  *
  * The allocator instrumentation replaces the global operator
  * new/delete for this test binary; it only counts, never changes
@@ -21,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <numeric>
@@ -34,6 +38,7 @@
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/harness/ler_estimator.hpp"
+#include "qec/predecode/promatch.hpp"
 #include "qec/serve/server.hpp"
 #include "qec/serve/stream.hpp"
 #include "qec/util/arena.hpp"
@@ -554,6 +559,182 @@ TEST(Workspace, SyndromeSubgraphRebuildsInPlace)
             }
         }
     }
+}
+
+
+/**
+ * Row i of the subgraph must be pairNeighbors(det(i)) filtered to
+ * the defect set, in order and with its edge ids, and pairs() must
+ * be the (i < j) entries of the rows in row order.
+ */
+void
+expectRowsMatchGraph(const DecodingGraph &graph,
+                     const SyndromeSubgraph &subgraph,
+                     const std::vector<uint32_t> &defects)
+{
+    ASSERT_EQ(subgraph.size(), static_cast<int>(defects.size()));
+    std::vector<SubgraphEdge> expected_pairs;
+    for (int i = 0; i < subgraph.size(); ++i) {
+        ASSERT_EQ(subgraph.det(i), defects[i]);
+        std::vector<int32_t> nodes;
+        std::vector<uint32_t> edge_ids;
+        for (const PairHalfEdge &half :
+             graph.pairNeighbors(defects[i])) {
+            const auto it = std::lower_bound(
+                defects.begin(), defects.end(), half.neighbor);
+            if (it != defects.end() && *it == half.neighbor) {
+                nodes.push_back(
+                    static_cast<int32_t>(it - defects.begin()));
+                edge_ids.push_back(half.edgeId);
+            }
+        }
+        const auto row = subgraph.neighbors(i);
+        ASSERT_EQ(std::vector<int32_t>(row.begin(), row.end()), nodes)
+            << "row " << i;
+        ASSERT_EQ(subgraph.degree(i), static_cast<int>(nodes.size()));
+        for (size_t o = 0; o < nodes.size(); ++o) {
+            ASSERT_EQ(subgraph.edgeIdAt(i, static_cast<int32_t>(o)),
+                      edge_ids[o])
+                << "row " << i << " entry " << o;
+            if (nodes[o] > i) {
+                expected_pairs.push_back({i, nodes[o], edge_ids[o]});
+            }
+        }
+    }
+    const auto pairs = subgraph.pairs();
+    ASSERT_EQ(pairs.size(), expected_pairs.size());
+    for (size_t e = 0; e < pairs.size(); ++e) {
+        EXPECT_EQ(pairs[e].i, expected_pairs[e].i) << e;
+        EXPECT_EQ(pairs[e].j, expected_pairs[e].j) << e;
+        EXPECT_EQ(pairs[e].edgeId, expected_pairs[e].edgeId) << e;
+    }
+}
+
+TEST(Workspace, SyndromeSubgraphRowsAreInOrderAndEdgeExact)
+{
+    for (int d : {5, 11, 13}) {
+        const auto &ctx = ExperimentContext::get(d, 1e-4);
+        ImportanceSampler sampler(ctx.dem(), 40);
+        SyndromeSubgraph subgraph;
+        Rng rng(0x50b + d);
+        for (int round = 0; round < 200; ++round) {
+            const auto sample =
+                sampler.sample(1 + round % 40, rng);
+            subgraph.build(ctx.graph(), sample.defects);
+            expectRowsMatchGraph(ctx.graph(), subgraph,
+                                 sample.defects);
+        }
+        // A large build leaves stale entries past the next, small
+        // build's counts in every grow-only array; none may leak.
+        std::vector<uint32_t> large;
+        for (uint32_t det = 0; det < ctx.graph().numDetectors();
+             det += 2) {
+            large.push_back(det);
+        }
+        subgraph.build(ctx.graph(), large);
+        expectRowsMatchGraph(ctx.graph(), subgraph, large);
+        subgraph.kill(0);
+        const std::vector<uint32_t> small(large.begin() + 1,
+                                          large.begin() + 4);
+        subgraph.build(ctx.graph(), small);
+        expectRowsMatchGraph(ctx.graph(), subgraph, small);
+        EXPECT_EQ(subgraph.aliveCount(), 3);
+        // The large build's unrefreshed kill must not keep any of
+        // the small build's nodes from being published.
+        subgraph.kill(0);
+        subgraph.refresh();
+        for (int i = 1; i < 3; ++i) {
+            int live = 0;
+            for (int j : subgraph.neighbors(i)) {
+                live += subgraph.alive(j) ? 1 : 0;
+            }
+            EXPECT_EQ(subgraph.degree(i), live) << "d=" << d;
+        }
+    }
+}
+
+/** FNV-1a step over one 64-bit word. */
+uint64_t
+mixDigest(uint64_t h, uint64_t word)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (word >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * Promatch's complete output (residual, obs, weight bits, cycles,
+ * rounds, steps) on 20,000 importance-sampled syndromes
+ * (k in [6, 20], so nearly every one engages), folded into one
+ * digest per (distance, configuration). The golden values were
+ * recorded before the single-pass subgraph build and the once-built
+ * round edge list, which must reproduce them bit for bit.
+ */
+TEST(PromatchGolden, OutputsMatchRecordedDigests)
+{
+    struct Case
+    {
+        int distance;
+        bool exact;
+        bool adaptive;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {11, false, true, 0x405b29cfc4460d48},
+        {11, true, true, 0xd094fbfeb257f803},
+        {11, false, false, 0xd90f20afe873be02},
+        {11, true, false, 0x72dbd5604743f9e4},
+        {13, false, true, 0xa8f26bfd30d6a371},
+        {13, true, true, 0x51dc5f25d28dc51a},
+        {13, false, false, 0x7d34d6a493af2ee1},
+        {13, true, false, 0x03417fe60bcaf3e4},
+    };
+    const LatencyConfig latency;
+    const long long budget = static_cast<long long>(
+        latency.effectiveBudgetNs() / latency.nsPerCycle);
+    unsigned steps_seen = 0;
+    for (const Case &c : cases) {
+        const auto &ctx = ExperimentContext::get(c.distance, 1e-4);
+        PromatchConfig config;
+        config.exactSingletonCheck = c.exact;
+        config.adaptiveTarget = c.adaptive;
+        config.fixedTarget = 8;
+        PromatchPredecoder promatch(ctx.graph(), ctx.paths(),
+                                    latency, config);
+        ImportanceSampler sampler(ctx.dem(), 20);
+        ImportanceSampler::Sample sample;
+        DecodeWorkspace workspace;
+        PredecodeResult result;
+        uint64_t h = 0xcbf29ce484222325ull;
+        for (int i = 0; i < 20000; ++i) {
+            const int k = 6 + i % 15;
+            Rng rng = Rng::forSample(0x90d, k, i);
+            sampler.sample(k, rng, sample);
+            promatch.predecode(sample.defects, budget, workspace,
+                               result);
+            h = mixDigest(h, result.residual.size());
+            for (uint32_t det : result.residual) {
+                h = mixDigest(h, det);
+            }
+            h = mixDigest(h, result.obsMask);
+            h = mixDigest(h, std::bit_cast<uint64_t>(result.weight));
+            h = mixDigest(h, static_cast<uint64_t>(result.cycles));
+            h = mixDigest(h, static_cast<uint64_t>(result.rounds));
+            const unsigned steps = (result.steps.step1 ? 1u : 0u) |
+                                   (result.steps.step2 ? 2u : 0u) |
+                                   (result.steps.step3 ? 4u : 0u) |
+                                   (result.steps.step4 ? 8u : 0u);
+            h = mixDigest(h, steps);
+            steps_seen |= steps;
+        }
+        EXPECT_EQ(h, c.digest)
+            << "d=" << c.distance << " exact=" << c.exact
+            << " adaptive=" << c.adaptive;
+    }
+    // Every step of Algorithm 1 fires somewhere in the set.
+    EXPECT_EQ(steps_seen, 15u);
 }
 
 } // namespace
