@@ -176,10 +176,9 @@ class Decoder
      * Results land at results[0 .. lanes), and every lane's result
      * is bit-identical to a serial decode() of that lane's defect
      * list (fuzz-enforced registry-wide by
-     * tests/test_block_decode.cpp). The default implementation
-     * extracts the lanes and decodes them one at a time; pipeline
-     * stacks override it to carry all lanes through predecode
-     * together (see PredecodedDecoder::decodeBlock).
+     * tests/test_block_decode.cpp). It extracts the lanes and
+     * decodes them one at a time through decode(), the only block
+     * path of every stack.
      *
      * @param detectorWords one 64-lane word per detector; bits of
      *                      lanes >= `lanes` are ignored
@@ -187,9 +186,9 @@ class Decoder
      * @param workspace     caller-owned scratch (as decode())
      * @param results       caller-owned array of >= `lanes` slots
      */
-    virtual void decodeBlock(std::span<const uint64_t> detectorWords,
-                             int lanes, DecodeWorkspace &workspace,
-                             DecodeResult *results);
+    void decodeBlock(std::span<const uint64_t> detectorWords,
+                     int lanes, DecodeWorkspace &workspace,
+                     DecodeResult *results);
 
     /**
      * Decode a batch of syndromes, optionally across threads.
@@ -216,14 +215,6 @@ class Decoder
     /** Short identifier used in reports (e.g. "Promatch||AG"). */
     virtual std::string name() const = 0;
 
-    /**
-     * True when this decoder's problem builder reads the
-     * workspace's gathered DistanceView (the dense matchers).
-     * Sparse-core decoders return false so composite stacks can
-     * skip shared gathers that nobody would consume.
-     */
-    virtual bool wantsDistanceView() const { return true; }
-
     const DecodingGraph &graph() const { return graph_; }
     const PathTable &paths() const { return paths_; }
 
@@ -235,9 +226,7 @@ class Decoder
 /**
  * Scatter the set bits of a detector-major 64-lane block into
  * per-lane sorted defect lists. Only the buckets of lanes in
- * `laneMask` are cleared and filled; the rest are left untouched
- * (the block decode path relies on that to keep low-HW lanes'
- * buckets alive across a predecodeBlock call).
+ * `laneMask` are cleared and filled; the rest are left untouched.
  */
 void scatterBlockLanes(std::span<const uint64_t> detectorWords,
                        uint64_t laneMask,

@@ -121,17 +121,6 @@ FallbackDecoder::name() const
     return out;
 }
 
-bool
-FallbackDecoder::wantsDistanceView() const
-{
-    for (const auto &tier : tiers_) {
-        if (tier->wantsDistanceView()) {
-            return true;
-        }
-    }
-    return false;
-}
-
 FallbackStats
 FallbackDecoder::stats() const
 {

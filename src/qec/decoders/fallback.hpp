@@ -89,8 +89,6 @@ class FallbackDecoder : public Decoder
 
     std::string name() const override;
 
-    bool wantsDistanceView() const override;
-
     size_t tierCount() const { return tiers_.size(); }
     Decoder &tier(size_t i) { return *tiers_[i]; }
 
@@ -135,8 +133,6 @@ class PredecodeCommitDecoder : public Decoder
     std::unique_ptr<Decoder> clone() const override;
 
     std::string name() const override;
-
-    bool wantsDistanceView() const override { return false; }
 
     /** Defects abandoned unmatched (this instance + clones). */
     uint64_t flaggedDefects() const;

@@ -45,22 +45,6 @@ class PredecodedDecoder : public Decoder
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;
 
-    /**
-     * 64-lane block path: one predecodeBlock call carries every
-     * engaged lane (HW above the threshold) through the predecoder
-     * together, lanes the predecoder fully resolves never reach the
-     * matcher, and the remaining main-decode inputs share one
-     * gathered DistanceView when the union block is cheaper than
-     * per-lane gathers. Predecoders without a word kernel
-     * (Predecoder::hasBlockKernel() false: Promatch, Hierarchical)
-     * take Decoder::decodeBlock's per-lane loop instead. Per-lane
-     * results are bit-identical with looping the lanes through
-     * decode().
-     */
-    void decodeBlock(std::span<const uint64_t> detectorWords,
-                     int lanes, DecodeWorkspace &workspace,
-                     DecodeResult *results) override;
-
     std::unique_ptr<Decoder>
     clone() const override
     {

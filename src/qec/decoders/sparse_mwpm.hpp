@@ -37,10 +37,6 @@ class SparseMwpmDecoder : public Decoder
     }
 
     std::string name() const override { return "SparseMWPM"; }
-
-    /** The sparse core never reads the gathered DistanceView, so
-     *  pipeline stacks skip the shared union pre-gather. */
-    bool wantsDistanceView() const override { return false; }
 };
 
 } // namespace qec

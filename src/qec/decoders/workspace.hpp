@@ -53,13 +53,14 @@ namespace qec
 {
 
 /**
- * Scratch of the 64-lane block decode path (Decoder::decodeBlock /
- * Predecoder::predecodeBlock). Used only by the block entry points
- * — serial decode()/predecode() must never touch it, which is what
- * lets decodeBlock hand `laneDefects[l]` spans to nested serial
- * decodes. `laneWords` is a dense detector -> lane-word merge
- * scratch with an all-zero invariant between uses (users re-zero
- * exactly the entries they touched, recorded in `touched`).
+ * Scratch of the 64-lane block entry points (Decoder::decodeBlock /
+ * Predecoder::predecodeBlock), which scatter a block into per-lane
+ * defect lists and loop the lanes through the serial path. Serial
+ * decode()/predecode() must never touch it, which is what lets the
+ * block entries hand `laneDefects[l]` spans to nested serial calls.
+ * `laneWords` is predecodeBlock's dense detector -> lane-word
+ * residual merge scratch, all-zero between uses (it re-zeroes
+ * exactly the entries it touched, recorded in `touched`).
  */
 struct BlockScratch
 {
@@ -69,10 +70,6 @@ struct BlockScratch
     std::vector<uint64_t> laneWords;
     /** Detectors whose laneWords entry is currently nonzero. */
     std::vector<uint32_t> touched;
-    /** Sorted union defect list of the current block. */
-    std::vector<uint32_t> unionDets;
-    /** Pipeline handoff: the block predecode outcome. */
-    BlockPredecodeResult pre;
 };
 
 /** Caller-owned scratch arena for one decode stack on one thread. */
@@ -104,7 +101,7 @@ struct DecodeWorkspace
     SparseMatchingProblem sparseProblem;
     /** Reusable sparse local-growth matcher (SparseMWPM decoder). */
     SparseMatcher sparseMatcher;
-    /** 64-lane block decode scratch (decodeBlock only). */
+    /** 64-lane block scratch (decodeBlock/predecodeBlock only). */
     BlockScratch block;
 };
 

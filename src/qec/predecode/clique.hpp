@@ -30,16 +30,6 @@ class CliquePredecoder : public Predecoder
                    DecodeWorkspace &workspace,
                    PredecodeResult &result) override;
 
-    /** Bit-parallel word kernel: saturating-counter degree classes
-     *  over the union subgraph classify all 64 lanes at once,
-     *  bit-identical per lane with the serial path. */
-    void predecodeBlock(std::span<const uint64_t> detectorWords,
-                        uint64_t laneMask, long long cycle_budget,
-                        DecodeWorkspace &workspace,
-                        BlockPredecodeResult &result) override;
-
-    bool hasBlockKernel() const override { return true; }
-
     std::unique_ptr<Predecoder>
     clone() const override
     {

@@ -1,14 +1,12 @@
 #include "qec/predecode/pinball.hpp"
 
 #include <algorithm>
-#include <array>
 #include <numeric>
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/util/arena.hpp"
 #include "qec/util/assert.hpp"
-#include "qec/util/bitvec.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
 
@@ -164,179 +162,6 @@ PinballPredecoder::predecode(std::span<const uint32_t> defects,
             rt::pushBack(result.residual, sg.det(i));
         }
     }
-}
-
-void
-PinballPredecoder::predecodeBlock(
-    std::span<const uint64_t> detectorWords, uint64_t laneMask,
-    long long cycle_budget, DecodeWorkspace &workspace,
-    BlockPredecodeResult &result)
-{
-    QEC_REALTIME;
-    (void)cycle_budget; // Fixed-latency pipeline, not adaptive.
-    result.reset();
-    result.laneMask = laneMask;
-    if (laneMask == 0) {
-        return;
-    }
-
-    // Union syndrome: every detector flipped in any requested lane.
-    // Lane l's subgraph nodes are exactly the union nodes whose
-    // alive word has bit l set, so per-lane local indices and union
-    // indices enumerate the same detectors in the same (ascending)
-    // order — which is what keeps per-lane commit order, and hence
-    // the floating-point weight accumulation, identical to serial.
-    BlockScratch &block = workspace.block;
-    block.unionDets.clear();
-    for (uint32_t det = 0;
-         det < static_cast<uint32_t>(detectorWords.size()); ++det) {
-        if (detectorWords[det] & laneMask) {
-            rt::pushBack(block.unionDets, det);
-        }
-    }
-    SyndromeSubgraph &sg = workspace.subgraph;
-    sg.build(graph_, block.unionDets);
-    MonotonicArena &arena = workspace.arena;
-    arena.reset();
-    const int n = sg.size();
-
-    // Union-restricted pattern rows, rank order preserved. Entries
-    // whose partner is outside the union can never hit in any lane
-    // (the partner is absent from that lane's syndrome too), so
-    // dropping them here changes nothing per lane.
-    int32_t *rowOffset = arena.allocate<int32_t>(n + 1);
-    int32_t upper = 0;
-    for (int i = 0; i < n; ++i) {
-        const uint32_t det = sg.det(i);
-        upper += tableOffset_[det + 1] - tableOffset_[det];
-    }
-    int32_t *rowPartner = arena.allocate<int32_t>(upper);
-    uint32_t *rowEdge = arena.allocate<uint32_t>(upper);
-    uint64_t *rowChoice = arena.allocate<uint64_t>(upper);
-    int32_t cursor = 0;
-    for (int i = 0; i < n; ++i) {
-        rowOffset[i] = cursor;
-        const uint32_t det = sg.det(i);
-        for (int32_t o = tableOffset_[det];
-             o < tableOffset_[det + 1]; ++o) {
-            const int32_t j = sg.localIndexOf(tableNeighbor_[o]);
-            if (j >= 0) {
-                rowPartner[cursor] = j;
-                rowEdge[cursor] = tableEdge_[o];
-                ++cursor;
-            }
-        }
-    }
-    rowOffset[n] = cursor;
-
-    uint64_t *alive = arena.allocate<uint64_t>(n);
-    uint64_t *boundaryChoice = arena.allocate<uint64_t>(n);
-    int32_t *boundaryEdgeOf = arena.allocate<int32_t>(n);
-    for (int i = 0; i < n; ++i) {
-        alive[i] = detectorWords[sg.det(i)] & laneMask;
-        boundaryEdgeOf[i] =
-            config_.matchBoundary ? graph_.boundaryEdge(sg.det(i))
-                                  : -1;
-    }
-
-    // Per-lane round of the last commit: a lane whose round commits
-    // nothing is at a fixed point (its alive set no longer changes,
-    // so neither do its proposals), which is how the serial early
-    // exit is recovered per lane below.
-    std::array<int, 64> lastCommit{};
-
-    for (int round = 1; round <= config_.rounds; ++round) {
-        // Propose: each lane of each defect bit independently claims
-        // the highest-ranked entry whose partner is alive in that
-        // lane; leftover lanes fall through to the boundary pattern.
-        for (int i = 0; i < n; ++i) {
-            uint64_t pending = alive[i];
-            for (int32_t o = rowOffset[i]; o < rowOffset[i + 1];
-                 ++o) {
-                const uint64_t hit = pending & alive[rowPartner[o]];
-                rowChoice[o] = hit;
-                pending &= ~hit;
-            }
-            boundaryChoice[i] =
-                boundaryEdgeOf[i] >= 0 ? pending : 0;
-        }
-
-        // Commit, ascending union index — the same detector order
-        // as each lane's serial commit scan. Boundary hits commit
-        // unilaterally; pair proposals commit where mutual, from
-        // the smaller index with its own chosen edge (the serial
-        // proposal[i] > i && proposal[proposal[i]] == i rule).
-        uint64_t round_commit = 0;
-        for (int i = 0; i < n; ++i) {
-            const uint64_t bmask = boundaryChoice[i];
-            if (bmask) {
-                const uint32_t eid =
-                    static_cast<uint32_t>(boundaryEdgeOf[i]);
-                const uint64_t obs = graph_.edgeObsMask(eid);
-                const float w = graph_.edgeWeight(eid);
-                forEachSetBit(bmask, [&](int lane) {
-                    result.obsMask[lane] ^= obs;
-                    result.weight[lane] += w;
-                });
-                alive[i] &= ~bmask;
-                round_commit |= bmask;
-            }
-            for (int32_t o = rowOffset[i]; o < rowOffset[i + 1];
-                 ++o) {
-                const int32_t j = rowPartner[o];
-                if (j <= i) {
-                    continue;
-                }
-                uint64_t m = rowChoice[o];
-                if (!m) {
-                    continue;
-                }
-                // Lanes whose partner chose us back (any of j's
-                // entries pointing at i — rows are short).
-                uint64_t reverse = 0;
-                for (int32_t ro = rowOffset[j];
-                     ro < rowOffset[j + 1]; ++ro) {
-                    if (rowPartner[ro] == i) {
-                        reverse |= rowChoice[ro];
-                    }
-                }
-                m &= reverse;
-                if (!m) {
-                    continue;
-                }
-                const uint32_t eid = rowEdge[o];
-                const uint64_t obs = graph_.edgeObsMask(eid);
-                const float w = graph_.edgeWeight(eid);
-                forEachSetBit(m, [&](int lane) {
-                    result.obsMask[lane] ^= obs;
-                    result.weight[lane] += w;
-                });
-                alive[i] &= ~m;
-                alive[j] &= ~m;
-                round_commit |= m;
-            }
-        }
-        forEachSetBit(round_commit,
-                      [&](int lane) { lastCommit[lane] = round; });
-        if (!round_commit) {
-            break; // Every lane is at a fixed point.
-        }
-    }
-
-    for (int i = 0; i < n; ++i) {
-        if (alive[i]) {
-            rt::pushBack(result.residualDets, sg.det(i));
-            rt::pushBack(result.residualWords, alive[i]);
-        }
-    }
-    forEachSetBit(laneMask, [&](int lane) {
-        // Serial runs until (and counts) the first commit-free
-        // round, capped at the configured depth.
-        const int rounds =
-            std::min(config_.rounds, lastCommit[lane] + 1);
-        result.rounds[lane] = rounds;
-        result.cycles[lane] = kCyclesPerRound * rounds;
-    });
 }
 
 QEC_REGISTER_PREDECODER(

@@ -69,16 +69,6 @@ class PinballPredecoder : public Predecoder
                    DecodeWorkspace &workspace,
                    PredecodeResult &result) override;
 
-    /** Bit-parallel word kernel: all 64 lanes walk the pattern
-     *  tables together (propose/commit masks per table entry),
-     *  bit-identical per lane with the serial path. */
-    void predecodeBlock(std::span<const uint64_t> detectorWords,
-                        uint64_t laneMask, long long cycle_budget,
-                        DecodeWorkspace &workspace,
-                        BlockPredecodeResult &result) override;
-
-    bool hasBlockKernel() const override { return true; }
-
     std::unique_ptr<Predecoder>
     clone() const override
     {

@@ -17,9 +17,8 @@ Predecoder::predecodeBlock(std::span<const uint64_t> detectorWords,
                            BlockPredecodeResult &result)
 {
     QEC_REALTIME;
-    // Serial fallback: loop every requested lane through the scalar
-    // path — bit-identical by construction. Word kernels override
-    // this (Pinball/Smith/Clique).
+    // Loop every requested lane through the scalar path —
+    // bit-identical by construction.
     result.reset();
     result.laneMask = laneMask;
     if (laneMask == 0) {

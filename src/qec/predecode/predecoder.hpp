@@ -156,21 +156,17 @@ class Predecoder
                            PredecodeResult &result) = 0;
 
     /**
-     * Predecode all requested lanes of a 64-lane syndrome block at
-     * once (one word per detector, shot l = bit l — the
-     * FrameSimulator's BatchResult layout).
-     *
-     * Every requested lane's outcome must be bit-identical to the
-     * serial `predecode()` of that lane's defect list. The base
-     * implementation guarantees this by looping the lanes through
-     * the serial path; pattern-table predecoders (Pinball, Smith,
-     * Clique) override it with bit-parallel word kernels that carry
-     * all 64 lanes through the pattern logic together.
+     * Predecode all requested lanes of a 64-lane syndrome block
+     * (one word per detector, shot l = bit l — the FrameSimulator's
+     * BatchResult layout) by looping each lane through the serial
+     * `predecode()`, so every lane's outcome is bit-identical to the
+     * serial call on that lane's defect list. This is the serial
+     * per-lane entry benchmarks time as the predecode layer of a
+     * block; Decoder::decodeBlock does not call it.
      *
      * Scratch contract: the call may clobber
      * `workspace.predecodeResult` and the `workspace.block` entries
-     * of lanes in `laneMask` (the pipeline rebuilds those from the
-     * residual lists anyway); buckets of lanes outside the mask are
+     * of lanes in `laneMask`; buckets of lanes outside the mask are
      * left untouched.
      *
      * @param detectorWords one 64-lane word per detector
@@ -180,19 +176,10 @@ class Predecoder
      * @param workspace     caller-owned scratch
      * @param result        reset and filled in place
      */
-    virtual void predecodeBlock(
-        std::span<const uint64_t> detectorWords, uint64_t laneMask,
-        long long cycle_budget, DecodeWorkspace &workspace,
-        BlockPredecodeResult &result);
-
-    /**
-     * True when predecodeBlock() is a word kernel. The serial
-     * fallback scatters the block, loops the lanes and merges the
-     * residuals back, which costs more than decoding each lane on
-     * its own, so PredecodedDecoder::decodeBlock only takes the
-     * block path for predecoders that override this.
-     */
-    virtual bool hasBlockKernel() const { return false; }
+    void predecodeBlock(std::span<const uint64_t> detectorWords,
+                        uint64_t laneMask, long long cycle_budget,
+                        DecodeWorkspace &workspace,
+                        BlockPredecodeResult &result);
 
     /** Independent copy with identical configuration. */
     virtual std::unique_ptr<Predecoder> clone() const = 0;

@@ -29,16 +29,6 @@ class SmithPredecoder : public Predecoder
                    DecodeWorkspace &workspace,
                    PredecodeResult &result) override;
 
-    /** Bit-parallel word kernel: one sorted walk over the union
-     *  subgraph's edges carries all 64 lanes through the greedy
-     *  pass, bit-identical per lane with the serial path. */
-    void predecodeBlock(std::span<const uint64_t> detectorWords,
-                        uint64_t laneMask, long long cycle_budget,
-                        DecodeWorkspace &workspace,
-                        BlockPredecodeResult &result) override;
-
-    bool hasBlockKernel() const override { return true; }
-
     std::unique_ptr<Predecoder>
     clone() const override
     {

@@ -1,7 +1,8 @@
 /**
  * @file
- * Batch-vs-serial bit-identity suite for the 64-lane block decode
- * path:
+ * Batch-vs-serial bit-identity suite for the 64-lane block entry
+ * points, which scatter a block into lanes and loop them through
+ * the serial path:
  *
  *  - registry-wide fuzz: every registered main decoder, every
  *    predecoder stacked on astrea and mwpm, and a parallel stack,
@@ -10,11 +11,11 @@
  *    must be bit-identical (obs, weight, latency, abort flag) with
  *    serial decode() of each lane, with stray bits in tail lanes
  *    ignored;
- *  - per-kernel predecodeBlock equivalence: the Pinball/Smith/
- *    Clique word kernels (and the serial fallback of the others)
- *    reproduce the scalar predecode() of every lane exactly —
- *    residual lists, obs/weight (FP accumulation order included),
- *    cycles, rounds, and the NSM decodedAll/forwarded flags.
+ *  - registry-wide predecodeBlock equivalence: every predecoder's
+ *    block entry reproduces the scalar predecode() of every lane
+ *    exactly — the merged sparse residual lists, obs/weight (FP
+ *    accumulation order included), cycles, rounds, and the NSM
+ *    decodedAll/forwarded flags.
  */
 
 #include <gtest/gtest.h>
@@ -289,27 +290,6 @@ TEST(BlockDecode, PredecodeBlockMatchesSerialOnRandomDem)
     const PathTable paths(graph);
     expectPredecodeBlockMatchesSerial(graph, paths, 0xfad2,
                                       "random-dem");
-}
-
-TEST(BlockDecode, OnlyWordKernelsTakeTheBlockPath)
-{
-    // PredecodedDecoder::decodeBlock takes the block path only for
-    // predecoders with a word kernel; Promatch and Hierarchical
-    // loop their lanes through decode().
-    const auto &ctx = ExperimentContext::get(5, 1e-3);
-    const DecoderRegistry &registry = DecoderRegistry::instance();
-    const BuildContext context{ctx.graph(), ctx.paths(),
-                               LatencyConfig{}, PromatchConfig{},
-                               PinballConfig{}};
-    for (const std::string &name :
-         registry.predecoderComponents()) {
-        const bool word_kernel =
-            name == "pinball" || name == "smith" || name == "clique";
-        EXPECT_EQ(registry.buildPredecoder(name, context)
-                      ->hasBlockKernel(),
-                  word_kernel)
-            << name;
-    }
 }
 
 TEST(BlockDecode, ScatterBlockLanesMatchesPerLaneExtraction)

@@ -136,7 +136,7 @@ TEST(RtAudit, LibraryHotPathsAuditClean)
         commonArgs() + " --filter src/qec/" + " --allow \"" + src +
         "/tools/rt_audit/allow.txt\"" + " --baseline \"" + src +
         "/tools/rt_audit/baseline.txt\"" +
-        " --require-roots 30 --unknown error");
+        " --require-roots 27 --unknown error");
     EXPECT_EQ(run.exitCode, 0) << run.output;
     EXPECT_NE(run.output.find(" 0 violations"), std::string::npos)
         << run.output;
@@ -164,7 +164,7 @@ TEST(RtAudit, StaleAllowlistEntryFails)
 
     const AuditRun run = runAudit(
         commonArgs() + " --filter src/qec/" + " --allow \"" + tmp +
-        "\" --require-roots 30 --unknown error");
+        "\" --require-roots 27 --unknown error");
     std::remove(tmp.c_str());
     EXPECT_EQ(run.exitCode, 1) << run.output;
     EXPECT_NE(run.output.find("STALE"), std::string::npos)

@@ -163,6 +163,9 @@ const char *const kZeroAllocSpecs[] = {"promatch+astrea",
                                        "astrea_g", "mwpm",
                                        "pinball+mwpm",
                                        "pinball+astrea",
+                                       "smith+astrea",
+                                       "clique+astrea",
+                                       "hierarchical+astrea",
                                        "sparse",
                                        "promatch+sparse"};
 
@@ -216,9 +219,8 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
 TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
 {
     // The 64-lane block path must also run allocation-free once
-    // warm: scatter, predecodeBlock word kernels, the shared union
-    // gather, and the per-lane compose all draw from workspace- or
-    // arena-owned scratch.
+    // warm: the lane scatter and the per-lane decode() loop draw
+    // from workspace- or arena-owned scratch.
     const auto &ctx = ExperimentContext::get(7, 1e-3);
     const auto batch = syndromeSet(ctx);
     const size_t lanes = std::min<size_t>(batch.size(), 64);
@@ -236,9 +238,8 @@ TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
         DecodeResult results[64];
         // Warmup. More than one pass: the arena coalesces overflow
         // chunks on the reset *after* the cycle that overflowed, so
-        // a block path whose first call multi-chunks needs a second
-        // cycle to converge (serial decodes get 71 cycles per pass
-        // here; a block call is a single cycle).
+        // the block path gets the same repeated warm cycles as the
+        // serial check.
         for (int pass = 0; pass < 3; ++pass) {
             decoder->decodeBlock(words, static_cast<int>(lanes),
                                  workspace, results);
