@@ -46,11 +46,11 @@ main(int argc, char **argv)
     for (int d : {9, 11, 13}) {
         const auto &ctx = ExperimentContext::get(d, 1e-4);
         HwConditionalStats ag_stats, uf_stats;
-        const std::string mwpm = measure(ctx, "mwpm", nullptr);
+        const std::string exact = measure(ctx, "sparse", nullptr);
         const std::string ag =
             measure(ctx, "astrea_g", &ag_stats);
         const std::string clique =
-            measure(ctx, "clique+mwpm", nullptr);
+            measure(ctx, "clique+sparse", nullptr);
         const std::string uf =
             measure(ctx, "union_find", &uf_stats);
         // Derived columns of filtered-out configs print "-" like
@@ -63,7 +63,7 @@ main(int argc, char **argv)
                              stats.conditionalFailRate(11, 64))
                        : std::string("-");
         };
-        table.addRow({std::to_string(d), mwpm, ag, clique, uf,
+        table.addRow({std::to_string(d), exact, ag, clique, uf,
                       cond(ag_stats, "astrea_g"),
                       cond(uf_stats, "union_find")});
         std::printf("  done: d=%d\n", d);

@@ -20,8 +20,8 @@ main(int argc, char **argv)
                 "MWPM chain-length distribution, d = 13");
 
     const auto &ctx = ExperimentContext::get(13, 1e-4);
-    auto mwpm = build(DecoderSpec::parse(bench.specOr("mwpm")),
-                      ctx.graph(), ctx.paths());
+    auto exact = build(DecoderSpec::parse(bench.specOr("sparse")),
+                       ctx.graph(), ctx.paths());
 
     // Sample high-HW syndromes via k-fault injection through the
     // parallel LER engine and accumulate the chain-length histogram
@@ -40,7 +40,7 @@ main(int argc, char **argv)
         };
     WeightedHistogram lengths;
     uint64_t high_hw_samples = 0;
-    estimateLer(ctx, *mwpm, options,
+    estimateLer(ctx, *exact, options,
                 [&](const SampleView &view) {
                     ++high_hw_samples;
                     for (int len : view.trace->chainLengths) {

@@ -22,7 +22,7 @@ inline int
 runSweep(Bench &bench, int distance,
          double paper_parallel_gap_note)
 {
-    const char *configs[] = {"mwpm",
+    const char *configs[] = {"sparse",
                              "promatch+astrea||astrea_g",
                              "promatch+astrea",
                              "astrea_g",

@@ -95,11 +95,11 @@ decoderBench(benchmark::State &state, const char *spec)
 }
 
 void
-BM_DecodeMwpm(benchmark::State &state)
+BM_DecodeSparse(benchmark::State &state)
 {
-    decoderBench(state, "mwpm");
+    decoderBench(state, "sparse");
 }
-BENCHMARK(BM_DecodeMwpm)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_DecodeSparse)->Arg(4)->Arg(8)->Arg(16);
 
 void
 BM_DecodePromatchAstrea(benchmark::State &state)

@@ -37,7 +37,7 @@ struct Row
 // evaluate (the registry-onboarded Pinball predecoder); the table
 // prints "-" there.
 constexpr Row kRows[] = {
-    {"mwpm", "MWPM (Ideal)", 1.8e-13, 3.4e-15},
+    {"sparse", "MWPM (Ideal)", 1.8e-13, 3.4e-15},
     {"promatch+astrea||astrea_g", "Promatch || AG", 1.8e-13, 3.4e-15},
     {"promatch+astrea", "Promatch + Astrea", 4.5e-13, 2.6e-14},
     {"astrea_g", "Astrea-G (AG)", 4.5e-13, 1.4e-13},

@@ -40,7 +40,6 @@ main(int argc, char **argv)
         {"decoder", "errors", "aborts", "avg latency", "max "
          "latency", "avg weight"});
     const char *specs[] = {
-        "mwpm",
         "sparse",
         "astrea",
         "astrea_g",
@@ -49,14 +48,13 @@ main(int argc, char **argv)
         "smith+astrea",
         "clique+astrea",
         "hierarchical+astrea",
-        "clique+mwpm",
+        "clique+sparse",
         "clique+astrea_g",
         "promatch+astrea||astrea_g",
         "smith+astrea||astrea_g",
         "promatch+sparse",
         "pinball+sparse",
         "pinball+astrea",
-        "pinball+mwpm",
         "pinball+astrea||astrea_g",
     };
     qec::DecodeWorkspace workspace; // Reused across every decoder.

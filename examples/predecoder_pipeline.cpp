@@ -78,10 +78,10 @@ main(int argc, char **argv)
     };
     auto pipeline = stack("promatch+astrea");
     auto parallel = stack("promatch+astrea||astrea_g");
-    auto mwpm = stack("mwpm");
+    auto exact = stack("sparse");
 
     for (auto *decoder :
-         {pipeline.get(), parallel.get(), mwpm.get()}) {
+         {pipeline.get(), parallel.get(), exact.get()}) {
         const qec::DecodeResult result =
             decoder->decode(sample.defects, workspace);
         const bool ok = !result.aborted &&

@@ -33,7 +33,7 @@ main(int argc, char **argv)
         std::vector<std::string> row = {qec::formatSci(p)};
         for (int d : {3, 5, 7}) {
             const qec::ExperimentContext ctx(d, p);
-            qec::MwpmDecoder decoder(ctx.graph(), ctx.paths());
+            qec::SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
             const qec::DirectMcResult result =
                 qec::estimateLerDirect(ctx, decoder, shots,
                                        17 + d, threads);

@@ -11,7 +11,7 @@
  *
  * Examples:
  *
- *   "mwpm"                                 software MWPM baseline
+ *   "sparse"                               software MWPM baseline
  *   "promatch+astrea"                      the paper's Promatch
  *   "promatch+astrea||astrea_g"            ||AG arbitration
  *   "promatch+astrea||astrea_g?hw_threshold=10&promatch_lanes=2"

@@ -40,7 +40,7 @@ SparseMwpmDecoder::decode(std::span<const uint32_t> defects,
 
 QEC_REGISTER_DECODER(
     sparse,
-    "exact MWPM via sparse local growth (PathTable-pair-free)",
+    "exact software MWPM via sparse local growth (not real-time)",
     [](const BuildContext &context) {
         return std::make_unique<SparseMwpmDecoder>(context.graph,
                                                    context.paths);

@@ -1,9 +1,10 @@
 /**
  * @file
- * Sparse exact MWPM decoder — the high-distance matching core.
+ * Sparse exact MWPM decoder — the repo's one exact matcher and the
+ * paper's "MWPM (Ideal)" software baseline.
  *
- * Same accuracy contract as MwpmDecoder (exact minimum-weight
- * matching, not real-time), but built on the sparse local-growth
+ * Exact minimum-weight matching, not real-time (the reported latency
+ * is zero and realTime is false), built on the sparse local-growth
  * matcher: no dense S×S problem matrix, and no dependency on the
  * O(V²) pair half of the PathTable — it runs unchanged on a table
  * built with PathTable::DeferPairs, which is what makes d = 21

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "qec/graph/distance_view.hpp"
-#include "qec/matching/blossom.hpp"
 #include "qec/matching/defect_graph.hpp"
 #include "qec/matching/exhaustive.hpp"
 #include "qec/matching/near_exhaustive.hpp"
@@ -86,12 +85,11 @@ struct DecodeWorkspace
     DistanceView distances;
     /** Pipeline handoff: the predecoder's output, incl. residual. */
     PredecodeResult predecodeResult;
-    /** Matching layer: the complete defect graph of a syndrome. */
+    /** Matching layer: the complete defect graph of a syndrome
+     *  (Astrea / Astrea-G), built through `distances`. */
     DefectGraph defectGraph;
     /** Matching layer: the solution slot shared by all solvers. */
     MatchingSolution solution;
-    /** Reusable exact blossom engine (MWPM decoder). */
-    BlossomSolver blossom;
     /** Reusable exact small-k engine (Astrea model). */
     ExhaustiveSolver exhaustive;
     /** Reusable budgeted branch-and-bound engine (Astrea-G). */
@@ -99,7 +97,9 @@ struct DecodeWorkspace
     /** Sparse matching layer: pruned candidate view of a syndrome
      *  (holds its own lazy DistanceOracle). */
     SparseMatchingProblem sparseProblem;
-    /** Reusable sparse local-growth matcher (SparseMWPM decoder). */
+    /** Reusable sparse local-growth matcher (the `sparse` exact
+     *  MWPM decoder); owns the blossom engine it runs on components
+     *  too large for the exhaustive solver. */
     SparseMatcher sparseMatcher;
     /** 64-lane block scratch (decodeBlock/predecodeBlock only). */
     BlockScratch block;

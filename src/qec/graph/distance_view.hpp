@@ -8,7 +8,7 @@
  * lookup. A DistanceView gathers that submatrix — pair cells and the
  * boundary column, all three fields (dist/obs/hops) per 8-byte
  * PathCell — once per decode into a dense cache-line-friendly block
- * that Promatch Step 3, the MWPM/Astrea problem builders, and the
+ * that Promatch Step 3, the Astrea/Astrea-G problem builder, and the
  * solution read-back then hit repeatedly.
  *
  * Every gathered value is a bit-copy of the PathTable entry, so a

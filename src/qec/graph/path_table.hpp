@@ -2,7 +2,7 @@
  * @file
  * All-pairs shortest paths over the decoding graph.
  *
- * The matchers (MWPM, Astrea, Astrea-G) operate on a complete graph
+ * The matchers (sparse MWPM, Astrea, Astrea-G) operate on a graph
  * over the flipped detectors whose edge weights are shortest-path
  * distances in the decoding graph; Promatch's Step 3 consults the
  * same table (the paper's on-chip "Path table", §4.2.2/Table 8).

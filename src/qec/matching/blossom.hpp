@@ -2,14 +2,16 @@
  * @file
  * Exact minimum-weight perfect matching via the blossom algorithm.
  *
- * This is the "idealized MWPM" engine (the paper's software baseline,
- * §5.2). The core is the classic O(n^3) maximum-weight general
- * matching algorithm with dual variables and blossom
- * shrinking/expansion. Boundary matches are handled by the standard
- * duplication trick: each defect i gets a twin i' connected to i at
- * the boundary cost, twins are interconnected at cost zero, and the
- * minimum-weight perfect matching of the doubled graph projects back
- * onto matches and boundary matches of the original instance.
+ * This is the sparse matcher's large-component engine: SparseMatcher
+ * hands it every connected component too large for the exhaustive
+ * solver (see sparse_matcher.hpp). The core is the classic O(n^3)
+ * maximum-weight general matching algorithm with dual variables and
+ * blossom shrinking/expansion. Boundary matches are handled by the
+ * standard duplication trick: each defect i gets a twin i' connected
+ * to i at the boundary cost, twins are interconnected at cost zero,
+ * and the minimum-weight perfect matching of the doubled graph
+ * projects back onto matches and boundary matches of the original
+ * instance.
  *
  * BlossomSolver is a *reusable* engine: all of its dense matrices are
  * flat buffers that grow monotonically to the largest instance seen

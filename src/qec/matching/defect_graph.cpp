@@ -10,38 +10,9 @@ namespace qec
 
 void
 buildDefectGraphInto(std::span<const uint32_t> defects,
-                     const PathTable &paths, DefectGraph &out)
-{
-    rt::assignRange(out.defects, defects.begin(),
-                    defects.end());
-    out.viewMap.clear();
-    const int n = static_cast<int>(defects.size());
-    out.problem.n = n;
-    rt::assignFill(out.problem.pairWeight,
-                   static_cast<size_t>(n) * n, kNoEdge);
-    rt::assignFill(out.problem.boundaryWeight,
-                   static_cast<size_t>(n), kNoEdge);
-    for (int i = 0; i < n; ++i) {
-        const double db = paths.distToBoundary(defects[i]);
-        if (std::isfinite(db)) {
-            out.problem.boundaryWeight[i] = db;
-        }
-        for (int j = i + 1; j < n; ++j) {
-            if (!paths.unreachable(defects[i], defects[j])) {
-                out.problem.setPair(
-                    i, j, paths.dist(defects[i], defects[j]));
-            }
-        }
-    }
-}
-
-void
-buildDefectGraphInto(std::span<const uint32_t> defects,
                      const PathTable &paths, DistanceView &view,
                      DefectGraph &out)
 {
-    rt::assignRange(out.defects, defects.begin(),
-                    defects.end());
     const int n = static_cast<int>(defects.size());
     if (!view.subsetMap(paths, defects, out.viewMap)) {
         // Not contained in the gathered block: gather for exactly
@@ -72,43 +43,14 @@ buildDefectGraphInto(std::span<const uint32_t> defects,
     }
 }
 
-DefectGraph
-buildDefectGraph(std::span<const uint32_t> defects,
-                 const PathTable &paths)
-{
-    DefectGraph graph;
-    buildDefectGraphInto(defects, paths, graph);
-    return graph;
-}
-
-uint64_t
-DefectGraph::solutionObs(const PathTable &paths,
-                         const MatchingSolution &solution) const
-{
-    QEC_ASSERT(solution.mate.size() == defects.size(),
-               "solution size mismatch");
-    uint64_t obs = 0;
-    for (size_t i = 0; i < defects.size(); ++i) {
-        const int m = solution.mate[i];
-        if (m == -1) {
-            obs ^= paths.boundaryObs(defects[i]);
-        } else if (m > static_cast<int>(i)) {
-            obs ^= paths.pathObs(defects[i], defects[m]);
-        }
-    }
-    return obs;
-}
-
 uint64_t
 DefectGraph::solutionObs(const DistanceView &view,
                          const MatchingSolution &solution) const
 {
-    QEC_ASSERT(solution.mate.size() == defects.size(),
+    QEC_ASSERT(solution.mate.size() == viewMap.size(),
                "solution size mismatch");
-    QEC_ASSERT(viewMap.size() == defects.size(),
-               "defect graph was not built through a view");
     uint64_t obs = 0;
-    for (size_t i = 0; i < defects.size(); ++i) {
+    for (size_t i = 0; i < viewMap.size(); ++i) {
         const int m = solution.mate[i];
         if (m == -1) {
             obs ^= view.boundaryObs(viewMap[i]);
@@ -120,31 +62,12 @@ DefectGraph::solutionObs(const DistanceView &view,
 }
 
 void
-DefectGraph::chainLengthsInto(const PathTable &paths,
-                              const MatchingSolution &solution,
-                              std::vector<int> &out) const
-{
-    out.clear();
-    for (size_t i = 0; i < defects.size(); ++i) {
-        const int m = solution.mate[i];
-        if (m == -1) {
-            rt::pushBack(out, paths.boundaryHops(defects[i]));
-        } else if (m > static_cast<int>(i)) {
-            rt::pushBack(
-                out, paths.pathHops(defects[i], defects[m]));
-        }
-    }
-}
-
-void
 DefectGraph::chainLengthsInto(const DistanceView &view,
                               const MatchingSolution &solution,
                               std::vector<int> &out) const
 {
-    QEC_ASSERT(viewMap.size() == defects.size(),
-               "defect graph was not built through a view");
     out.clear();
-    for (size_t i = 0; i < defects.size(); ++i) {
+    for (size_t i = 0; i < viewMap.size(); ++i) {
         const int m = solution.mate[i];
         if (m == -1) {
             rt::pushBack(out, view.boundaryHops(viewMap[i]));
@@ -153,15 +76,6 @@ DefectGraph::chainLengthsInto(const DistanceView &view,
                          view.hops(viewMap[i], viewMap[m]));
         }
     }
-}
-
-std::vector<int>
-DefectGraph::chainLengths(const PathTable &paths,
-                          const MatchingSolution &solution) const
-{
-    std::vector<int> lengths;
-    chainLengthsInto(paths, solution, lengths);
-    return lengths;
 }
 
 } // namespace qec

@@ -8,14 +8,14 @@
  * solution back into physics: the observable flips implied by the
  * matched paths and the error-chain lengths (Fig. 5).
  *
- * The hot decode path rebuilds one workspace-owned DefectGraph in
+ * Astrea and Astrea-G rebuild one workspace-owned DefectGraph in
  * place through the workspace's DistanceView: the S×S block of the
  * PathTable is gathered (or resolved as a subset of the block the
  * predecoder already gathered — see distance_view.hpp) and the
  * problem matrix plus the solution read-back then touch only that
  * dense block. `viewMap` records each local defect's index into the
- * view. The PathTable-reading builders stay for convenience and are
- * bit-identical (the view holds bit-copies).
+ * view. The view holds bit-copies of the table's cells, so the
+ * graph's weights equal the table's exactly.
  */
 
 #ifndef QEC_MATCHING_DEFECT_GRAPH_HPP
@@ -35,51 +35,30 @@ namespace qec
 /** Matching view of one syndrome. */
 struct DefectGraph
 {
-    /** Flipped detector indices (sorted). */
-    std::vector<uint32_t> defects;
     /** Complete-graph matching instance over the defects. */
     MatchingProblem problem;
     /** Local defect index -> index into the DistanceView this graph
      *  was built from (identity when the view was gathered for
-     *  exactly this defect set). Empty for PathTable-built graphs. */
+     *  exactly this defect set); one entry per defect. */
     std::vector<int32_t> viewMap;
 
-    /** XOR of observable masks along all matched paths. */
-    uint64_t solutionObs(const PathTable &paths,
-                         const MatchingSolution &solution) const;
-
-    /** solutionObs through the gathered view (uses viewMap). */
+    /** XOR of observable masks along all matched paths, read
+     *  through the view the graph was built from (uses viewMap). */
     uint64_t solutionObs(const DistanceView &view,
                          const MatchingSolution &solution) const;
 
-    /** Error-chain length (hops) of each matched pair/boundary. */
-    std::vector<int> chainLengths(const PathTable &paths,
-                                  const MatchingSolution &sol) const;
-
-    /** chainLengths into a caller-owned buffer (capacity reused). */
-    void chainLengthsInto(const PathTable &paths,
-                          const MatchingSolution &sol,
-                          std::vector<int> &out) const;
-
-    /** chainLengthsInto through the gathered view (uses viewMap). */
+    /** Error-chain length (hops) of each matched pair/boundary into
+     *  a caller-owned buffer (capacity reused; uses viewMap). */
     void chainLengthsInto(const DistanceView &view,
                           const MatchingSolution &sol,
                           std::vector<int> &out) const;
 };
 
-/** Build the complete defect graph of a syndrome. */
-DefectGraph buildDefectGraph(std::span<const uint32_t> defects,
-                             const PathTable &paths);
-
-/** Rebuild `out` in place from a syndrome, reusing its buffers. */
-void buildDefectGraphInto(std::span<const uint32_t> defects,
-                          const PathTable &paths, DefectGraph &out);
-
 /**
- * Rebuild `out` in place through `view`: resolves `defects` against
- * the view's gathered block (gathering from `paths` only when the
- * block does not already contain them) and fills the problem matrix
- * from the dense cells. Bit-identical with the PathTable builder.
+ * Rebuild `out` in place through `view`, reusing its buffers:
+ * resolves `defects` against the view's gathered block (gathering
+ * from `paths` only when the block does not already contain them)
+ * and fills the problem matrix from the dense cells.
  */
 void buildDefectGraphInto(std::span<const uint32_t> defects,
                           const PathTable &paths,

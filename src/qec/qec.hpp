@@ -28,9 +28,9 @@
 #include "qec/decoders/decoder.hpp"
 #include "qec/decoders/fallback.hpp"
 #include "qec/decoders/latency.hpp"
-#include "qec/decoders/mwpm_decoder.hpp"
 #include "qec/decoders/parallel.hpp"
 #include "qec/decoders/pipeline.hpp"
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/decoders/union_find.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/dem/decompose.hpp"

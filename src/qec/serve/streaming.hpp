@@ -27,7 +27,7 @@
  * XOR of all committed corrections bit-identical to decoding the
  * entire stream in one shot whenever cluster decomposition holds —
  * verified against one-shot decoding across the promatch, pinball,
- * and mwpm stacks in tests/test_serve.cpp.
+ * and sparse stacks in tests/test_serve.cpp.
  *
  * A cluster that refuses to close (pathological dense streams)
  * would otherwise grow the buffer without bound; once the buffered

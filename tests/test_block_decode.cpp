@@ -5,7 +5,7 @@
  * the serial path:
  *
  *  - registry-wide fuzz: every registered main decoder, every
- *    predecoder stacked on astrea and mwpm, and a parallel stack,
+ *    predecoder stacked on astrea and sparse, and a parallel stack,
  *    on a surface-code context and on random DEMs, at lane counts
  *    1..64 including partial tails — decodeBlock's per-lane results
  *    must be bit-identical (obs, weight, latency, abort flag) with
@@ -130,7 +130,7 @@ expectSameResult(const DecodeResult &block, const DecodeResult &serial,
 }
 
 /** Every registered main alone, every predecoder stacked on astrea
- *  and on mwpm, plus one parallel stack. */
+ *  and on sparse, plus one parallel stack. */
 std::vector<std::string>
 allStackSpecs()
 {
@@ -138,7 +138,7 @@ allStackSpecs()
     std::vector<std::string> specs = registry.decoderComponents();
     for (const std::string &pre : registry.predecoderComponents()) {
         specs.push_back(pre + "+astrea");
-        specs.push_back(pre + "+mwpm");
+        specs.push_back(pre + "+sparse");
     }
     specs.push_back("promatch+astrea||astrea_g");
     return specs;

@@ -68,7 +68,7 @@ runChaosScenario(const FaultPlan &plan, uint64_t seed)
     constexpr int kPerProducer = 40;
     const auto streams =
         sampleStreams(ctx, 0xc4a05 ^ seed, kProducers * kPerProducer);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     FaultInjector faults(seed, plan);
@@ -211,7 +211,7 @@ TEST(Chaos, StopNeverStrandsConcurrentSubmit)
     const int detPerRound = chaosDetectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0x57a6, 4);
 
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     for (int iter = 0; iter < 50; ++iter) {

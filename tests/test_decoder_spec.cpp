@@ -28,12 +28,12 @@ namespace
 
 TEST(DecoderSpec, ParsesPlainComponent)
 {
-    const DecoderSpec spec = DecoderSpec::parse("mwpm");
-    EXPECT_EQ(spec.primary.main, "mwpm");
+    const DecoderSpec spec = DecoderSpec::parse("sparse");
+    EXPECT_EQ(spec.primary.main, "sparse");
     EXPECT_TRUE(spec.primary.predecoder.empty());
     EXPECT_FALSE(spec.partner.has_value());
     EXPECT_TRUE(spec.options.empty());
-    EXPECT_EQ(spec.toString(), "mwpm");
+    EXPECT_EQ(spec.toString(), "sparse");
 }
 
 TEST(DecoderSpec, ParsesFullGrammar)
@@ -53,14 +53,14 @@ TEST(DecoderSpec, ParsesFullGrammar)
 TEST(DecoderSpec, RoundTripsThroughToString)
 {
     const char *specs[] = {
-        "mwpm",
+        "sparse",
         "astrea",
         "promatch+astrea",
-        "clique+mwpm",
+        "clique+sparse",
         "promatch+astrea||astrea_g",
         "smith+astrea||clique+astrea_g",
         "promatch+astrea||astrea_g?hw_threshold=8&step4=0",
-        "pinball+mwpm",
+        "pinball+sparse",
         "pinball+astrea_g?pinball_boundary=0&pinball_rounds=3",
     };
     for (const char *text : specs) {
@@ -115,11 +115,13 @@ TEST(DecoderSpec, BuildRejectsUnknownComponentsAndOptions)
     // Unknown components.
     EXPECT_THROW(try_build("no_such_decoder"), SpecError);
     EXPECT_THROW(try_build("no_such_pre+astrea"), SpecError);
-    EXPECT_THROW(try_build("mwpm||no_such_decoder"), SpecError);
+    EXPECT_THROW(try_build("sparse||no_such_decoder"), SpecError);
+    // No alias for the removed dense exact matcher.
+    EXPECT_THROW(try_build("mwpm"), SpecError);
     // Role confusion: a predecoder is not a main decoder and vice
     // versa.
     EXPECT_THROW(try_build("promatch"), SpecError);
-    EXPECT_THROW(try_build("astrea+mwpm"), SpecError);
+    EXPECT_THROW(try_build("astrea+sparse"), SpecError);
     // Unknown / malformed option values.
     EXPECT_THROW(try_build("astrea?no_such_option=1"), SpecError);
     EXPECT_THROW(try_build("astrea?hw_threshold=ten"), SpecError);
@@ -200,7 +202,7 @@ TEST(DecoderSpec, PinballSpecsParseBuildAndConfigure)
     // and its option keys must land in the component's config.
     const auto &ctx = ExperimentContext::get(3, 1e-3);
     for (const char *text :
-         {"pinball+mwpm", "pinball+astrea",
+         {"pinball+sparse", "pinball+astrea",
           "pinball+astrea_g?hw_threshold=8",
           "pinball+astrea||astrea_g",
           "promatch+astrea||pinball+astrea_g"}) {
@@ -212,7 +214,7 @@ TEST(DecoderSpec, PinballSpecsParseBuildAndConfigure)
 
     auto decoder = build(
         DecoderSpec::parse(
-            "pinball+mwpm?pinball_rounds=4&pinball_boundary=off"),
+            "pinball+sparse?pinball_rounds=4&pinball_boundary=off"),
         ctx.graph(), ctx.paths());
     auto *pipe = dynamic_cast<PredecodedDecoder *>(decoder.get());
     ASSERT_NE(pipe, nullptr);
@@ -227,11 +229,11 @@ TEST(DecoderSpec, PinballSpecsParseBuildAndConfigure)
         return build(DecoderSpec::parse(text), ctx.graph(),
                      ctx.paths());
     };
-    EXPECT_THROW(try_build("pinball+mwpm?pinball_rounds=0"),
+    EXPECT_THROW(try_build("pinball+sparse?pinball_rounds=0"),
                  SpecError);
-    EXPECT_THROW(try_build("pinball+mwpm?pinball_rounds=two"),
+    EXPECT_THROW(try_build("pinball+sparse?pinball_rounds=two"),
                  SpecError);
-    EXPECT_THROW(try_build("pinball+mwpm?pinball_boundary=maybe"),
+    EXPECT_THROW(try_build("pinball+sparse?pinball_boundary=maybe"),
                  SpecError);
     // Role confusion still throws.
     EXPECT_THROW(try_build("pinball"), SpecError);
@@ -240,9 +242,12 @@ TEST(DecoderSpec, PinballSpecsParseBuildAndConfigure)
 TEST(DecoderRegistry, ComponentsAreRegistered)
 {
     const DecoderRegistry &registry = DecoderRegistry::instance();
-    for (const char *name :
-         {"mwpm", "sparse", "astrea", "astrea_g", "union_find"}) {
-        EXPECT_TRUE(registry.hasDecoder(name)) << name;
+    // Exactly these main decoders: no alias of a deleted component
+    // may register itself again.
+    EXPECT_EQ(registry.decoderComponents(),
+              (std::vector<std::string>{"astrea", "astrea_g", "sparse",
+                                        "union_find"}));
+    for (const std::string &name : registry.decoderComponents()) {
         EXPECT_FALSE(registry.describe(name).empty()) << name;
     }
     for (const char *name :

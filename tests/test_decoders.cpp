@@ -1,8 +1,8 @@
 /**
  * @file
- * Decoder unit tests: correctness on injected faults, Astrea/MWPM
- * agreement, abort contracts, union-find validity, and parallel
- * arbitration.
+ * Decoder unit tests: correctness on injected faults, Astrea
+ * agreement with the exact reference, abort contracts, union-find
+ * validity, and parallel arbitration.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +14,13 @@
 #include "qec/api/registry.hpp"
 #include "qec/decoders/astrea.hpp"
 #include "qec/decoders/astrea_g.hpp"
-#include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/decoders/union_find.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
+
+#include "exact_reference.hpp"
 
 namespace qec
 {
@@ -87,7 +89,7 @@ TEST_P(SingleFaultTest, EverySingleFaultIsDecodedCorrectly)
 
 INSTANTIATE_TEST_SUITE_P(
     AllDecoders, SingleFaultTest,
-    ::testing::Values("mwpm", "astrea", "astrea_g", "union_find",
+    ::testing::Values("sparse", "astrea", "astrea_g", "union_find",
                       "promatch+astrea", "promatch+astrea||astrea_g",
                       "smith+astrea", "smith+astrea||astrea_g"));
 
@@ -96,7 +98,7 @@ TEST(Decoders, MwpmCorrectsTwoArbitraryFaultsAtD5)
     // floor((5-1)/2) = 2: any two faults must be correctable by the
     // exact decoder — this doubles as a circuit-distance check.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
     DecodeWorkspace workspace;
     const auto &mechanisms = ctx.dem().mechanisms();
     Rng rng(99);
@@ -132,7 +134,6 @@ TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     AstreaDecoder astrea(ctx.graph(), ctx.paths());
-    MwpmDecoder mwpm(ctx.graph(), ctx.paths());
     DecodeWorkspace workspace;
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(4242);
@@ -145,12 +146,12 @@ TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
             }
             const DecodeResult a =
                 astrea.decode(sample.defects, workspace);
-            const DecodeResult b =
-                mwpm.decode(sample.defects, workspace);
+            const ExactReference ref =
+                exactReference(ctx.paths(), sample.defects);
             ASSERT_FALSE(a.aborted);
             // Exact engines must agree on the matching weight; obs
             // can only differ between equal-weight optima.
-            ASSERT_NEAR(a.weight, b.weight, 1e-6);
+            ASSERT_NEAR(a.weight, ref.solution.totalWeight, 1e-6);
             ++compared;
         }
     }
@@ -258,7 +259,6 @@ TEST(Decoders, ParallelPicksLowerWeightSide)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     auto parallel = buildSpec("promatch+astrea||astrea_g", ctx);
-    MwpmDecoder mwpm(ctx.graph(), ctx.paths());
     DecodeWorkspace workspace;
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(5);
@@ -266,11 +266,11 @@ TEST(Decoders, ParallelPicksLowerWeightSide)
         const auto sample = sampler.sample(3, rng);
         const DecodeResult par =
             parallel->decode(sample.defects, workspace);
-        const DecodeResult ideal =
-            mwpm.decode(sample.defects, workspace);
+        const ExactReference ideal =
+            exactReference(ctx.paths(), sample.defects);
         ASSERT_FALSE(par.aborted);
         // The arbitrated weight can never beat the exact optimum.
-        EXPECT_GE(par.weight + 1e-6, ideal.weight);
+        EXPECT_GE(par.weight + 1e-6, ideal.solution.totalWeight);
     }
 }
 

@@ -314,7 +314,7 @@ TEST(Fallback, EscalatesDownLadderWhenBudgetFires)
     // from tier 1.
     std::vector<std::unique_ptr<Decoder>> tiers;
     tiers.push_back(std::make_unique<TimedDecoder>(
-        build(DecoderSpec::parse("mwpm"), ctx.graph(),
+        build(DecoderSpec::parse("astrea_g"), ctx.graph(),
               ctx.paths()),
         clock, 10'000));
     tiers.push_back(std::make_unique<TimedDecoder>(
@@ -355,7 +355,7 @@ TEST(Fallback, LastTierOverrunIsAcceptedAndCounted)
     FakeTimeSource clock;
     std::vector<std::unique_ptr<Decoder>> tiers;
     tiers.push_back(std::make_unique<TimedDecoder>(
-        build(DecoderSpec::parse("mwpm"), ctx.graph(),
+        build(DecoderSpec::parse("sparse"), ctx.graph(),
               ctx.paths()),
         clock, 10'000));
     FallbackConfig config;
@@ -377,7 +377,7 @@ TEST(Fallback, ClonesShareAggregatedStats)
 {
     const auto &ctx = faultContext();
     auto ladder = makeDegradationLadder(ctx.graph(), ctx.paths(),
-                                        {"mwpm", "sparse"});
+                                        {"astrea_g", "sparse"});
     auto clone = ladder->clone();
     const uint32_t defects[] = {0, 1};
     DecodeWorkspace workspace;
@@ -395,8 +395,12 @@ TEST(Fallback, LadderBuilderRejectsUnknownComponents)
                                        {"no_such_decoder"}),
                  SpecError);
     EXPECT_THROW(makeDegradationLadder(ctx.graph(), ctx.paths(),
-                                       {"mwpm"},
+                                       {"sparse"},
                                        "no_such_predecoder"),
+                 SpecError);
+    // No alias for the removed dense exact matcher.
+    EXPECT_THROW(makeDegradationLadder(ctx.graph(), ctx.paths(),
+                                       {"mwpm"}),
                  SpecError);
 }
 

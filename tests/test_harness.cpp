@@ -9,7 +9,7 @@
 
 #include <cmath>
 
-#include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/histogram.hpp"
 #include "qec/harness/importance_sampler.hpp"
@@ -236,7 +236,7 @@ TEST(LerEstimatorDeathTest, RejectsZeroSamplesPerK)
     // With no samples every P_f(k) is 0/0, and the Eq. 1 sum would
     // silently come back NaN; the estimator must refuse instead.
     const auto &ctx = ExperimentContext::get(3, 1e-3);
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
     LerOptions options;
     options.kMax = 4;
     options.samplesPerK = 0;

@@ -9,7 +9,7 @@
 
 #include "qec/api/decoder_spec.hpp"
 #include "qec/api/registry.hpp"
-#include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/ler_estimator.hpp"
@@ -25,8 +25,8 @@ TEST(Integration, MwpmSuppressesErrorsBelowThreshold)
     // with distance.
     const auto &ctx3 = ExperimentContext::get(3, 2e-3);
     const auto &ctx5 = ExperimentContext::get(5, 2e-3);
-    MwpmDecoder d3(ctx3.graph(), ctx3.paths());
-    MwpmDecoder d5(ctx5.graph(), ctx5.paths());
+    SparseMwpmDecoder d3(ctx3.graph(), ctx3.paths());
+    SparseMwpmDecoder d5(ctx5.graph(), ctx5.paths());
 
     const DirectMcResult r3 =
         estimateLerDirect(ctx3, d3, 40000, 7);
@@ -42,7 +42,7 @@ TEST(Integration, ImportanceSamplingMatchesDirectMonteCarlo)
     // The Eq. 1 estimator and plain Monte-Carlo must agree within
     // statistics at a rate where both are measurable.
     const auto &ctx = ExperimentContext::get(3, 3e-3);
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
 
     LerOptions options;
     options.kMax = 12;
@@ -66,8 +66,8 @@ TEST(Integration, DecodersRankSensiblyAtD5)
     // Exact MWPM must not lose to union-find; Promatch+Astrea must
     // track MWPM closely at d=5 (all syndromes are low-HW there).
     const auto &ctx = ExperimentContext::get(5, 3e-3);
-    auto mwpm =
-        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
+    auto exact =
+        build(DecoderSpec::parse("sparse"), ctx.graph(), ctx.paths());
     auto uf = build(DecoderSpec::parse("union_find"), ctx.graph(),
                     ctx.paths());
 
@@ -75,7 +75,7 @@ TEST(Integration, DecodersRankSensiblyAtD5)
     options.kMax = 10;
     options.samplesPerK = 1500;
     const double ler_mwpm =
-        estimateLer(ctx, *mwpm, options).ler;
+        estimateLer(ctx, *exact, options).ler;
     const double ler_uf = estimateLer(ctx, *uf, options).ler;
     EXPECT_LE(ler_mwpm, ler_uf * 1.05);
 }
@@ -87,8 +87,8 @@ TEST(Integration, PromatchAstreaMatchesMwpmOnLowHw)
     const auto &ctx = ExperimentContext::get(5, 2e-3);
     auto promatch = build(DecoderSpec::parse("promatch+astrea"),
                           ctx.graph(), ctx.paths());
-    auto mwpm =
-        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
+    auto exact =
+        build(DecoderSpec::parse("sparse"), ctx.graph(), ctx.paths());
 
     LerOptions options;
     options.kMax = 8;
@@ -96,7 +96,7 @@ TEST(Integration, PromatchAstreaMatchesMwpmOnLowHw)
     const double ler_pm =
         estimateLer(ctx, *promatch, options).ler;
     const double ler_mwpm =
-        estimateLer(ctx, *mwpm, options).ler;
+        estimateLer(ctx, *exact, options).ler;
     EXPECT_LT(ler_pm, ler_mwpm * 2.0 + 1e-12);
 }
 
@@ -130,7 +130,7 @@ TEST(Integration, NoiselessExperimentNeverFails)
 {
     const ExperimentContext ctx(3, 1e-4, 3);
     // Decode noiseless shots: every decoder sees empty syndromes.
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
     const ExperimentContext quiet(3, 1e-9, 3);
     const DirectMcResult result =
         estimateLerDirect(quiet, decoder, 5000, 1);
@@ -159,7 +159,7 @@ TEST(Integration, SampleDefectsMatchInjectedParity)
     // symptom sets — verified indirectly: decoding with MWPM and
     // checking failures are rare for k=1 (always correctable).
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
     DecodeWorkspace workspace;
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(2);

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/dem/decompose.hpp"
 #include "qec/graph/path_table.hpp"
@@ -70,7 +70,7 @@ TEST(MemoryX, EverySingleFaultDecodesWithMwpm)
         DecodingGraph::fromDem(decomposeToGraphlike(dem),
                                exp.detectors);
     const PathTable paths(graph);
-    MwpmDecoder decoder(graph, paths);
+    SparseMwpmDecoder decoder(graph, paths);
     DecodeWorkspace workspace;
     for (const DemMechanism &m : dem.mechanisms()) {
         const DecodeResult result = decoder.decode(m.dets, workspace);

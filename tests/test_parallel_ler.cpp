@@ -123,13 +123,13 @@ expectSameEstimate(const LerEstimate &a, const LerEstimate &b,
 
 TEST(ParallelLer, EstimateIsBitIdenticalAcrossThreadCounts)
 {
-    // The determinism suite: promatch+astrea, astrea_g, mwpm and
+    // The determinism suite: promatch+astrea, astrea_g, sparse and
     // the pinball+* stacks at d = 5 must produce bit-identical
     // LerEstimates for threads in {1, 2, 8} and for the 0 =
     // hardware-concurrency default.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     for (const char *spec :
-         {"promatch+astrea", "astrea_g", "mwpm", "pinball+mwpm",
+         {"promatch+astrea", "astrea_g", "sparse", "pinball+sparse",
           "pinball+astrea"}) {
         auto decoder = build(DecoderSpec::parse(spec),
                              ctx.graph(), ctx.paths());
@@ -154,7 +154,7 @@ TEST(ParallelLer, DirectMonteCarloIsBitIdenticalAcrossThreadCounts)
 {
     const auto &ctx = ExperimentContext::get(3, 2e-3);
     auto decoder =
-        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse("sparse"), ctx.graph(), ctx.paths());
     // 1000 shots = 16 blocks (incl. a partial last block), enough
     // to exercise sharding plus the lane-tail path.
     const DirectMcResult reference =
@@ -325,7 +325,7 @@ TEST(ParallelLer, DecodeFilterSkipsDeterministicallyAcrossThreads)
     // bit-identity across thread counts.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     auto decoder =
-        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse("sparse"), ctx.graph(), ctx.paths());
     LerOptions options;
     options.kMax = 5;
     options.samplesPerK = 150;

@@ -7,7 +7,7 @@
  *    (run under ThreadSanitizer in CI);
  *  - StreamingDecoder: sliding-window committed corrections are
  *    bit-equivalent to one-shot decoding of the full stream across
- *    the promatch, pinball, and mwpm stacks, plus window
+ *    the promatch, pinball, and sparse stacks, plus window
  *    accounting, reset, and empty-stream behavior;
  *  - DecodeServer: results identical to serial streaming decode,
  *    deterministic backpressure rejection, drain/stop protocol,
@@ -215,7 +215,7 @@ streamContext()
 }
 
 const char *const kStreamSpecs[] = {"promatch+astrea",
-                                    "pinball+astrea", "mwpm"};
+                                    "pinball+astrea", "sparse"};
 
 TEST(Streaming, MatchesOneShotAcrossStacks)
 {
@@ -277,7 +277,7 @@ TEST(Streaming, EmptyStreamCommitsNothing)
     const int detPerRound = static_cast<int>(
         ctx.experiment().circuit.numDetectors() /
         static_cast<size_t>(ctx.rounds() + 1));
-    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto decoder = build(DecoderSpec::parse("sparse"), ctx.graph(),
                          ctx.paths());
     StreamingDecoder streamer(*decoder, detPerRound);
 
@@ -298,7 +298,7 @@ TEST(Streaming, ResetMakesRunsIndependent)
     const int detPerRound = static_cast<int>(
         ctx.experiment().circuit.numDetectors() /
         static_cast<size_t>(ctx.rounds() + 1));
-    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto decoder = build(DecoderSpec::parse("sparse"), ctx.graph(),
                          ctx.paths());
     StreamingDecoder streamer(*decoder, detPerRound);
     const auto streams = sampleStreams(ctx, 0x5eed5, 20);
@@ -324,7 +324,7 @@ TEST(Streaming, ForcedCommitActuallyDrainsOpenCluster)
     // layer, so a pathological dense stream stays bounded.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     ASSERT_GE(ctx.graph().numDetectors(), 52u);
-    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto decoder = build(DecoderSpec::parse("sparse"), ctx.graph(),
                          ctx.paths());
     // Artificial 4-detector layers; W=4/C=1/G=3 with a tiny force
     // threshold so the dense stream trips it on the first window.
@@ -360,7 +360,7 @@ TEST(Streaming, MidSpanDefectFromWrongLayerPoisonsStream)
     // the window's ascending-id invariant. Layer data is untrusted,
     // so this must come back as a recoverable status, not a death.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto decoder = build(DecoderSpec::parse("sparse"), ctx.graph(),
                          ctx.paths());
     StreamingDecoder streamer(*decoder, 4);
     const uint32_t bad[] = {0, 4, 1};
@@ -380,7 +380,7 @@ TEST(Streaming, MidSpanDefectFromWrongLayerPoisonsStream)
 TEST(Streaming, UnsortedLayerPoisonsStream)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto decoder = build(DecoderSpec::parse("sparse"), ctx.graph(),
                          ctx.paths());
     StreamingDecoder streamer(*decoder, 4);
     const uint32_t bad[] = {1, 0};
@@ -392,7 +392,7 @@ TEST(Streaming, UnsortedLayerPoisonsStream)
 TEST(Streaming, OutOfRangeDetectorReturnsStatus)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto decoder = build(DecoderSpec::parse("sparse"), ctx.graph(),
                          ctx.paths());
     StreamingDecoder streamer(*decoder, 4);
     const uint32_t bad[] = {0, ctx.graph().numDetectors()};
@@ -478,7 +478,7 @@ TEST(Serve, MatchesSerialStreamingDecode)
     const auto &ctx = serveContext();
     const int detPerRound = detectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0xab1e, 200);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     // Serial reference through the same streaming protocol.
@@ -531,7 +531,7 @@ TEST(Serve, BackpressureRejectsWhenSlotsExhausted)
     const auto &ctx = serveContext();
     const int detPerRound = detectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0xbacc, 8);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     // A gate the single worker blocks on inside the handler: with
@@ -584,7 +584,7 @@ TEST(Serve, StopIsIdempotentAndRefusesLateSubmits)
     const auto &ctx = serveContext();
     const int detPerRound = detectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0x57a7, 4);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     ServeConfig config;
@@ -613,7 +613,7 @@ TEST(Serve, MultiProducerStressMatchesSerial)
     constexpr int kPerProducer = 50;
     const auto streams =
         sampleStreams(ctx, 0x9a11, kProducers * kPerProducer);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     std::vector<uint64_t> reference;
@@ -664,7 +664,7 @@ TEST(Serve, DeadlineExpiresInQueueWithoutDecoding)
     const auto &ctx = serveContext();
     const int detPerRound = detectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0xdead, 4);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     // Wedge the only worker, queue requests with a deadline, let
@@ -722,7 +722,7 @@ TEST(Serve, HealthWatchdogDetectsWedgedWorker)
     const auto &ctx = serveContext();
     const int detPerRound = detectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0x4ead, 4);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     FaultInjector faults(0);
@@ -768,7 +768,7 @@ TEST(Serve, SubmitWithRetryRidesOutBackpressure)
     const auto &ctx = serveContext();
     const int detPerRound = detectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0x4e74, 4);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     // Park the single worker behind a gate and fill every slot, so
@@ -848,7 +848,7 @@ TEST(Serve, FakeClockMakesRetryBackoffInstant)
     const auto &ctx = serveContext();
     const int detPerRound = detectorsPerRound(ctx);
     const auto streams = sampleStreams(ctx, 0xfa4e, 1);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     FakeTimeSource clock;

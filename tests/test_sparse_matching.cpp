@@ -3,7 +3,8 @@
  * Equivalence suite for the sparse local-growth matching core
  * (src/qec/matching/sparse_matcher.hpp):
  *
- *  - randomized fuzz against the dense blossom solver — identical
+ *  - randomized fuzz against the exact reference (blossom over the
+ *    complete defect graph, exact_reference.hpp) — identical
  *    validity and total weight (up to quantization) on surface-code
  *    syndromes at d in {5, 7, 11, 13}, importance-sampled defect
  *    counts from 0 up through the kMax tail, and random DEMs
@@ -17,7 +18,6 @@
  *  - the deferred DistanceView gather (the path Promatch Step 3
  *    takes at d = 21) is a bit-copy of the dense table at
  *    d in {7, 11};
- *  - LER parity between the `sparse` and `mwpm` decoders;
  *  - decodeBlock lane equivalence with the sparse matcher active on
  *    a DeferPairs table (the registry-wide block fuzz covers the
  *    dense-table case).
@@ -38,11 +38,10 @@
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
-#include "qec/harness/ler_estimator.hpp"
-#include "qec/matching/blossom.hpp"
-#include "qec/matching/defect_graph.hpp"
 #include "qec/matching/sparse_matcher.hpp"
 #include "qec/util/rng.hpp"
+
+#include "exact_reference.hpp"
 
 namespace qec
 {
@@ -109,22 +108,21 @@ randomSyndrome(const DecodingGraph &graph, Rng &rng, double rate)
 }
 
 /**
- * Core fuzz check: the sparse matcher must agree with dense blossom
- * on validity and total weight. The mate arrays may legitimately
- * differ between equal-weight optima (and the two solvers quantize
- * differently — globally vs per component — so weights agree up to
- * quantization, not bit-exactly); when the solvers picked the same
- * matching, the predicted observables must be bit-identical.
+ * Core fuzz check: the sparse matcher must agree with the exact
+ * reference (dense blossom) on validity and total weight. The mate
+ * arrays may legitimately differ between equal-weight optima (and
+ * the two solvers quantize differently — globally vs per component
+ * — so weights agree up to quantization, not bit-exactly); when the
+ * solvers picked the same matching, the predicted observables must
+ * be bit-identical.
  */
 void
 expectSparseMatchesDense(const PathTable &paths,
                          std::span<const uint32_t> defects,
                          const std::string &label)
 {
-    const DefectGraph dg = buildDefectGraph(defects, paths);
-    BlossomSolver blossom;
-    MatchingSolution dense;
-    blossom.solve(dg.problem, dense);
+    const ExactReference ref = exactReference(paths, defects);
+    const MatchingSolution &dense = ref.solution;
 
     SparseMatchingProblem sp;
     sp.build(paths, defects);
@@ -149,9 +147,7 @@ expectSparseMatchesDense(const PathTable &paths,
         }
     }
     if (dense.mate == sparse.mate) {
-        EXPECT_EQ(dg.solutionObs(paths, dense),
-                  sp.solutionObs(sparse))
-            << label;
+        EXPECT_EQ(ref.obs, sp.solutionObs(sparse)) << label;
     }
 }
 
@@ -191,6 +187,19 @@ TEST(SparseMatch, MatchesBlossomAcrossDefectCounts)
             expectSparseMatchesDense(
                 ctx.paths(), sample.defects,
                 "k=" + std::to_string(k) + " sample " +
+                    std::to_string(i));
+        }
+    }
+    // The d = 5 low-k population the LER estimator samples most.
+    const auto &ctx5 = ExperimentContext::get(5, 1e-3);
+    ImportanceSampler sampler5(ctx5.dem(), 10);
+    for (int k = 1; k <= 8; ++k) {
+        for (int i = 0; i < 40; ++i) {
+            Rng rng = Rng::forSample(0x5a7e, k, i);
+            const auto sample = sampler5.sample(k, rng);
+            expectSparseMatchesDense(
+                ctx5.paths(), sample.defects,
+                "d=5 k=" + std::to_string(k) + " sample " +
                     std::to_string(i));
         }
     }
@@ -377,49 +386,6 @@ TEST(SparseMatch, DeferredViewGatherIsBitIdenticalToDense)
             }
         }
     }
-}
-
-TEST(SparseMatch, LerMatchesDenseMwpm)
-{
-    // Both are exact matchers, so per-sample weights agree (up to
-    // quantization) and the LER estimates track each other; they
-    // need not be bit-equal because equal-weight optima may predict
-    // different observables.
-    const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto dense =
-        build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
-    auto sparse =
-        build(DecoderSpec::parse("sparse"), ctx.graph(), ctx.paths());
-    ImportanceSampler sampler(ctx.dem(), 10);
-    DecodeWorkspace denseWs;
-    DecodeWorkspace sparseWs;
-    for (int k = 1; k <= 8; ++k) {
-        for (int i = 0; i < 40; ++i) {
-            Rng rng = Rng::forSample(0x5a7e, k, i);
-            const auto sample = sampler.sample(k, rng);
-            const DecodeResult a =
-                dense->decode(sample.defects, denseWs);
-            const DecodeResult b =
-                sparse->decode(sample.defects, sparseWs);
-            ASSERT_EQ(a.aborted, b.aborted);
-            EXPECT_NEAR(a.weight, b.weight,
-                        2e-3 * std::max(1.0, a.weight))
-                << "k=" << k << " sample " << i;
-        }
-    }
-
-    LerOptions options;
-    options.kMax = 10;
-    options.samplesPerK = 300;
-    options.skipBelowK = 2;
-    const LerEstimate lerDense = estimateLer(ctx, *dense, options);
-    const LerEstimate lerSparse =
-        estimateLer(ctx, *sparse, options);
-    ASSERT_GT(lerDense.ler, 0.0);
-    ASSERT_GT(lerSparse.ler, 0.0);
-    const double ratio = lerSparse.ler / lerDense.ler;
-    EXPECT_GT(ratio, 0.7);
-    EXPECT_LT(ratio, 1.0 / 0.7);
 }
 
 TEST(SparseMatch, DecodeBlockLaneEquivalenceOnDeferredTable)

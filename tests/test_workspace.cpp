@@ -5,7 +5,7 @@
  *  - a counting global allocator proves that steady-state decoding
  *    (after a warmup pass over the same syndrome set) performs
  *    ZERO heap allocations for promatch+astrea, astrea_g, and
- *    mwpm through a caller-owned workspace, on the 64-lane block
+ *    sparse through a caller-owned workspace, on the 64-lane block
  *    path, and end to end through a DecodeServer;
  *  - decode results are bit-identical whether one workspace is
  *    reused across decodes or each decode gets a fresh one,
@@ -160,13 +160,12 @@ syndromeSet(const ExperimentContext &ctx)
 }
 
 const char *const kZeroAllocSpecs[] = {"promatch+astrea",
-                                       "astrea_g", "mwpm",
-                                       "pinball+mwpm",
+                                       "astrea_g", "sparse",
+                                       "pinball+sparse",
                                        "pinball+astrea",
                                        "smith+astrea",
                                        "clique+astrea",
                                        "hierarchical+astrea",
-                                       "sparse",
                                        "promatch+sparse"};
 
 TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
@@ -349,7 +348,7 @@ TEST(WorkspaceZeroAlloc, DecodeServerSteadyState)
         ctx.experiment().circuit.numDetectors() /
         static_cast<size_t>(ctx.rounds() + 1));
     const auto streams = sampleStreams(ctx, 0x2e20, 64);
-    auto proto = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+    auto proto = build(DecoderSpec::parse("sparse"), ctx.graph(),
                        ctx.paths());
 
     std::vector<uint64_t> results(streams.size(), 0);
