@@ -15,6 +15,8 @@
  *   --spec S           run only the decoder config whose spec
  *                      string matches S (compared in canonical
  *                      DecoderSpec form)
+ *   --artifact A[,B]   run only the named paper artifacts (benches
+ *                      that declare artifacts; others reject it)
  *   --repeat N         repeat each timed measurement N times and
  *                      report the median (committed BENCH_*.json
  *                      numbers should use N >= 3 so trajectories
@@ -34,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +55,8 @@ struct BenchCli
     uint64_t samplesPerK = 0;
     /** Decoder config filter (a DecoderSpec string). */
     std::string spec;
+    /** Artifact filter (--artifact); empty = every artifact. */
+    std::vector<std::string> artifacts;
     /** Timed-measurement repetitions (median is reported). */
     int repeat = 1;
     /** Where to write the JSON report; empty = don't. */
@@ -85,16 +90,22 @@ medianOf(std::vector<double> samples)
 class Bench
 {
   public:
+    /**
+     * `artifacts` names what --artifact may select; a bench that
+     * declares none rejects the flag.
+     */
     Bench(int argc, char **argv, const char *name,
-          const char *description)
+          const char *description,
+          std::vector<std::string> artifacts = {})
         : name_(name), description_(description),
+          known_(std::move(artifacts)),
           start_(std::chrono::steady_clock::now())
     {
         parse(argc, argv);
         std::printf(
             "==========================================================\n"
             "%s — %s\n"
-            "Promatch reproduction (see EXPERIMENTS.md); "
+            "Promatch reproduction (docs/benchmarks.md); "
             "QEC_BENCH_SCALE=%g, threads=%d\n"
             "==========================================================\n",
             name, description, qec::benchScale(),
@@ -134,20 +145,13 @@ class Bench
         return cli_.spec.empty() ? fallback : cli_.spec;
     }
 
-    /**
-     * For benches with no decoder configuration to select: error
-     * out when --spec was given rather than silently ignoring it.
-     */
-    void
-    rejectSpecFilter(const char *why) const
+    /** True when --artifact is absent or names `artifact`. */
+    bool
+    artifactEnabled(const std::string &artifact) const
     {
-        if (cli_.spec.empty()) {
-            return;
-        }
-        std::fprintf(stderr,
-                     "%s: --spec is not supported here: %s\n",
-                     name_.c_str(), why);
-        std::exit(2);
+        return cli_.artifacts.empty() ||
+               std::find(cli_.artifacts.begin(), cli_.artifacts.end(),
+                         artifact) != cli_.artifacts.end();
     }
 
     /**
@@ -165,18 +169,6 @@ class Bench
             canonicalSpec(cli_.spec) == canonicalSpec(config);
         specMatched_ = specMatched_ || enabled;
         return enabled;
-    }
-
-    /** Estimate the LER of one decoder spec string. */
-    qec::LerEstimate
-    runLer(const qec::ExperimentContext &ctx,
-           const std::string &config, uint64_t base_samples,
-           const qec::SampleObserver &observer = nullptr) const
-    {
-        auto decoder = qec::build(qec::DecoderSpec::parse(config),
-                                  ctx.graph(), ctx.paths());
-        return qec::estimateLer(ctx, *decoder,
-                                lerOptions(base_samples), observer);
     }
 
     /** Print a table and keep it for the JSON report. */
@@ -251,12 +243,18 @@ class Bench
     void
     usage(int code) const
     {
+        std::string artifacts;
+        for (const std::string &known : known_) {
+            artifacts += (artifacts.empty() ? "\n    [--artifact " : ",") +
+                         known;
+        }
         std::printf(
             "usage: %s [--threads N] [--samples-per-k N] "
-            "[--spec S] [--repeat N] [--json PATH]\n\n%s\n\nSee "
+            "[--spec S] [--repeat N] [--json PATH]%s%s\n\n%s\n\nSee "
             "docs/benchmarks.md for the shared CLI and the JSON "
             "schema.\n",
-            name_.c_str(), description_.c_str());
+            name_.c_str(), artifacts.c_str(),
+            artifacts.empty() ? "" : "]", description_.c_str());
         std::exit(code);
     }
 
@@ -318,6 +316,19 @@ class Bench
                 cli_.repeat = static_cast<int>(parsed);
             } else if (!std::strcmp(argv[i], "--json")) {
                 cli_.jsonPath = value(i);
+            } else if (!std::strcmp(argv[i], "--artifact") &&
+                       !known_.empty()) {
+                std::istringstream list(value(i));
+                for (std::string one; std::getline(list, one, ',');) {
+                    if (std::find(known_.begin(), known_.end(),
+                                  one) == known_.end()) {
+                        std::fprintf(stderr,
+                                     "%s: unknown artifact '%s'\n",
+                                     name_.c_str(), one.c_str());
+                        usage(2);
+                    }
+                    cli_.artifacts.push_back(one);
+                }
             } else if (!std::strcmp(argv[i], "--help") ||
                        !std::strcmp(argv[i], "-h")) {
                 usage(0);
@@ -426,6 +437,8 @@ class Bench
 
     std::string name_;
     std::string description_;
+    /** Artifact names --artifact may select. */
+    std::vector<std::string> known_;
     BenchCli cli_;
     /** Whether any specEnabled() call accepted a config. */
     mutable bool specMatched_ = false;

@@ -47,7 +47,6 @@ main(int argc, char **argv)
         "promatch+astrea",
         "smith+astrea",
         "clique+astrea",
-        "hierarchical+astrea",
         "clique+sparse",
         "clique+astrea_g",
         "promatch+astrea||astrea_g",

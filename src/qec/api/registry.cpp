@@ -301,10 +301,9 @@ applySpecOptions(const std::map<std::string, std::string> &options,
 
 std::unique_ptr<Decoder>
 build(const DecoderSpec &spec, const DecodingGraph &graph,
-      const PathTable &paths, const LatencyConfig &latency,
-      const PromatchConfig &promatch)
+      const PathTable &paths)
 {
-    BuildContext context{graph, paths, latency, promatch, {}};
+    BuildContext context{graph, paths, {}, {}, {}};
     applySpecOptions(spec.options, context.latency,
                      context.promatch, context.pinball);
     std::unique_ptr<Decoder> primary =

@@ -106,15 +106,14 @@ class DecoderRegistry
 /**
  * Assemble a decoder stack from a spec.
  *
- * Options in the spec override fields of the passed-in latency /
- * Promatch defaults (docs/api.md lists the keys). Throws SpecError
- * for unknown components or options.
+ * Options in the spec override fields of the default latency /
+ * Promatch / Pinball configs (docs/api.md lists the keys); they are
+ * the only way to configure a stack. Throws SpecError for unknown
+ * components or options.
  */
 std::unique_ptr<Decoder> build(const DecoderSpec &spec,
                                const DecodingGraph &graph,
-                               const PathTable &paths,
-                               const LatencyConfig &latency = {},
-                               const PromatchConfig &promatch = {});
+                               const PathTable &paths);
 
 /**
  * Apply spec option overrides onto config copies; exposed so

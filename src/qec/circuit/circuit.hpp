@@ -5,7 +5,8 @@
  * A Circuit is a flat list of instructions over qubit indices plus a
  * measurement record. It is the common language between the surface
  * code generator, the Pauli-frame simulator, and the fault enumerator
- * (our substitute for Stim's circuit format; see DESIGN.md §2).
+ * (our substitute for Stim's circuit format; see docs/benchmarks.md,
+ * "Reproduction methodology and substitutions").
  *
  * Detector and observable instructions reference absolute measurement
  * record indices, which keeps both the simulator and the enumerator

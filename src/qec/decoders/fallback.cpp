@@ -240,23 +240,21 @@ makeDegradationLadder(const DecodingGraph &graph,
                       const PathTable &paths,
                       const std::vector<std::string> &tierSpecs,
                       const std::string &commitPredecoder,
-                      FallbackConfig config,
-                      const LatencyConfig &latency)
+                      FallbackConfig config)
 {
     std::vector<std::unique_ptr<Decoder>> tiers;
     tiers.reserve(tierSpecs.size() +
                   (commitPredecoder.empty() ? 0 : 1));
     for (const std::string &spec : tierSpecs) {
-        tiers.push_back(build(DecoderSpec::parse(spec), graph,
-                              paths, latency));
+        tiers.push_back(
+            build(DecoderSpec::parse(spec), graph, paths));
     }
     if (!commitPredecoder.empty()) {
-        BuildContext context{graph, paths, latency, {}, {}};
+        BuildContext context{graph, paths, {}, {}, {}};
         tiers.push_back(std::make_unique<PredecodeCommitDecoder>(
             graph, paths,
             DecoderRegistry::instance().buildPredecoder(
-                commitPredecoder, context),
-            latency));
+                commitPredecoder, context)));
     }
     return std::make_unique<FallbackDecoder>(
         graph, paths, std::move(tiers), config);

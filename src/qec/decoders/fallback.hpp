@@ -162,7 +162,7 @@ std::unique_ptr<FallbackDecoder> makeDegradationLadder(
     const DecodingGraph &graph, const PathTable &paths,
     const std::vector<std::string> &tierSpecs,
     const std::string &commitPredecoder = "",
-    FallbackConfig config = {}, const LatencyConfig &latency = {});
+    FallbackConfig config = {});
 
 } // namespace qec
 

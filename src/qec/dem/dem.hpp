@@ -5,7 +5,8 @@
  * A DEM is the decoder-facing summary of a noisy circuit: a list of
  * independent error mechanisms, each with a probability, the set of
  * detectors it flips, and the logical observables it flips. This is
- * our substitute for Stim's detector_error_model() (DESIGN.md §2).
+ * our substitute for Stim's detector_error_model() (see
+ * docs/benchmarks.md, "Reproduction methodology and substitutions").
  */
 
 #ifndef QEC_DEM_DEM_HPP

@@ -15,7 +15,8 @@
  * mechanisms firing, computed exactly by dynamic programming.
  * Conditional sampling draws k distinct mechanisms with probability
  * proportional to p/(1-p) (the leading-order exact conditional
- * law; see DESIGN.md §2 for the documented approximation).
+ * law; the approximation is documented under "Reproduction
+ * methodology and substitutions" in docs/benchmarks.md).
  */
 
 #ifndef QEC_HARNESS_IMPORTANCE_SAMPLER_HPP

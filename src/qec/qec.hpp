@@ -52,7 +52,6 @@
 #include "qec/matching/near_exhaustive.hpp"
 #include "qec/pauli/pauli.hpp"
 #include "qec/predecode/clique.hpp"
-#include "qec/predecode/hierarchical.hpp"
 #include "qec/predecode/promatch.hpp"
 #include "qec/predecode/smith.hpp"
 #include "qec/predecode/syndrome_subgraph.hpp"

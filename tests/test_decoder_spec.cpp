@@ -182,16 +182,39 @@ TEST(DecoderSpec, OptionsOverrideLatencyAndPromatchConfig)
         EXPECT_TRUE(promatch->config().enableStep3);
     }
     {
-        // Explicitly-passed defaults still apply under the options.
-        LatencyConfig latency;
-        latency.promatchLanes = 4;
+        // The scoreboard's ablation rows select their variants by
+        // spec string alone (this key and astrea_g_bound below).
         auto decoder =
-            build(DecoderSpec::parse("astrea?hw_threshold=6"),
-                  ctx.graph(), ctx.paths(), latency);
-        auto *astrea = dynamic_cast<AstreaDecoder *>(decoder.get());
-        ASSERT_NE(astrea, nullptr);
-        EXPECT_EQ(astrea->latencyConfig().astreaMaxHw, 6);
-        EXPECT_EQ(astrea->latencyConfig().promatchLanes, 4);
+            build(DecoderSpec::parse("promatch+astrea?exact_singleton=1"),
+                  ctx.graph(), ctx.paths());
+        auto *pipe =
+            dynamic_cast<PredecodedDecoder *>(decoder.get());
+        ASSERT_NE(pipe, nullptr);
+        auto *promatch = dynamic_cast<PromatchPredecoder *>(
+            &pipe->predecoder());
+        ASSERT_NE(promatch, nullptr);
+        EXPECT_TRUE(promatch->config().exactSingletonCheck);
+        EXPECT_TRUE(promatch->config().adaptiveTarget);
+    }
+    {
+        // Behavioral check: the admissible bound prunes Astrea-G's
+        // search without changing the matching it finds.
+        auto plain = build(DecoderSpec::parse("astrea_g"),
+                           ctx.graph(), ctx.paths());
+        auto bounded =
+            build(DecoderSpec::parse("astrea_g?astrea_g_bound=1"),
+                  ctx.graph(), ctx.paths());
+        const std::vector<uint32_t> eight{0, 1, 2, 3, 4, 5, 6, 7};
+        DecodeWorkspace workspace;
+        DecodeTrace plain_trace, bounded_trace;
+        const DecodeResult a =
+            plain->decode(eight, workspace, &plain_trace);
+        const DecodeResult b =
+            bounded->decode(eight, workspace, &bounded_trace);
+        EXPECT_LT(bounded_trace.searchStates,
+                  plain_trace.searchStates);
+        EXPECT_DOUBLE_EQ(a.weight, b.weight);
+        EXPECT_EQ(a.predictedObs, b.predictedObs);
     }
 }
 
@@ -250,10 +273,11 @@ TEST(DecoderRegistry, ComponentsAreRegistered)
     for (const std::string &name : registry.decoderComponents()) {
         EXPECT_FALSE(registry.describe(name).empty()) << name;
     }
-    for (const char *name :
-         {"promatch", "smith", "clique", "hierarchical",
-          "pinball"}) {
-        EXPECT_TRUE(registry.hasPredecoder(name)) << name;
+    // Exactly these predecoders, for the same reason.
+    EXPECT_EQ(registry.predecoderComponents(),
+              (std::vector<std::string>{"clique", "pinball",
+                                        "promatch", "smith"}));
+    for (const std::string &name : registry.predecoderComponents()) {
         EXPECT_FALSE(registry.describe(name).empty()) << name;
     }
     EXPECT_FALSE(registry.hasDecoder("promatch"));

@@ -2,7 +2,7 @@
  * @file
  * Predecoder tests: Promatch invariants (coverage, adaptivity, step
  * priorities, singleton logic), Smith coverage behaviour, and the
- * NSM contracts of Clique and Hierarchical.
+ * NSM contract of Clique.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/predecode/clique.hpp"
-#include "qec/predecode/hierarchical.hpp"
 #include "qec/predecode/pinball.hpp"
 #include "qec/predecode/promatch.hpp"
 #include "qec/predecode/smith.hpp"
@@ -398,18 +397,6 @@ TEST(Clique, AllOrNothingContract)
     // Dense high-HW syndromes almost always contain complex
     // patterns; forwarding must dominate (Table 3's failure mode).
     EXPECT_GT(forwarded, decoded);
-}
-
-TEST(Hierarchical, ForwardsComplexSyndromes)
-{
-    const auto &ctx = ExperimentContext::get(9, 1e-3);
-    DecodeWorkspace workspace;
-    HierarchicalPredecoder hier(ctx.graph(), ctx.paths());
-    for (const auto &defects : highHwSyndromes(ctx, 20, 0xbb)) {
-        PredecodeResult result;
-        hier.predecode(defects, kBudgetCycles, workspace, result);
-        EXPECT_TRUE(result.forwarded || result.decodedAll);
-    }
 }
 
 } // namespace

@@ -165,7 +165,6 @@ const char *const kZeroAllocSpecs[] = {"promatch+astrea",
                                        "pinball+astrea",
                                        "smith+astrea",
                                        "clique+astrea",
-                                       "hierarchical+astrea",
                                        "promatch+sparse"};
 
 TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
