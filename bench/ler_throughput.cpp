@@ -160,99 +160,6 @@ printStageBreakdown(Bench &bench, const ExperimentContext &ctx,
                    : 0.0);
 }
 
-/**
- * Serial decode() loop vs the 64-lane decodeBlock() path on the
- * identical syndrome stream. The block path scatters the bit-planes
- * into lanes and loops them through decode(), so the measured ratio
- * is the cost of the scatter the LER engine's block path pays per
- * 64 samples. Packing the bit-planes is timed inside the batch pass
- * (the engine pays it too). Per-lane results (obs, weight, modelled
- * latency, abort flag) are bit-identical by the BlockDecode suite's
- * contract, re-checked here on the fly.
- */
-void
-printBatchBreakdown(Bench &bench, const ExperimentContext &ctx,
-                    const std::string &config,
-                    const LerOptions &options)
-{
-    auto decoder =
-        build(DecoderSpec::parse(config), ctx.graph(), ctx.paths());
-    ImportanceSampler sampler(ctx.dem(), options.kMax);
-
-    // One fixed syndrome stream, same counter-based draws as the
-    // sweep's k range.
-    std::vector<std::vector<uint32_t>> syndromes;
-    for (int k = std::max(1, options.skipBelowK);
-         k <= options.kMax; ++k) {
-        for (uint64_t i = 0;
-             i < static_cast<uint64_t>(options.samplesPerK); ++i) {
-            Rng rng = Rng::forSample(
-                options.seed, static_cast<uint64_t>(k), i);
-            syndromes.push_back(sampler.sample(k, rng).defects);
-        }
-    }
-
-    DecodeWorkspace workspace;
-    std::vector<DecodeResult> serial(syndromes.size());
-    const auto t_serial = Clock::now();
-    for (size_t i = 0; i < syndromes.size(); ++i) {
-        serial[i] = decoder->decode(syndromes[i], workspace);
-    }
-    const double serial_s = secondsSince(t_serial);
-
-    std::vector<uint64_t> words(ctx.graph().numDetectors(), 0);
-    std::vector<DecodeResult> batch(syndromes.size());
-    const auto t_batch = Clock::now();
-    for (size_t base = 0; base < syndromes.size(); base += 64) {
-        const int lanes = static_cast<int>(
-            std::min<size_t>(64, syndromes.size() - base));
-        for (int l = 0; l < lanes; ++l) {
-            for (uint32_t det : syndromes[base + l]) {
-                words[det] |= uint64_t{1} << l;
-            }
-        }
-        decoder->decodeBlock(words, lanes, workspace,
-                             &batch[base]);
-        for (int l = 0; l < lanes; ++l) {
-            for (uint32_t det : syndromes[base + l]) {
-                words[det] = 0;
-            }
-        }
-    }
-    const double batch_s = secondsSince(t_batch);
-
-    uint64_t mismatches = 0;
-    for (size_t i = 0; i < syndromes.size(); ++i) {
-        if (batch[i].predictedObs != serial[i].predictedObs ||
-            batch[i].weight != serial[i].weight ||
-            batch[i].latencyNs != serial[i].latencyNs ||
-            batch[i].aborted != serial[i].aborted) {
-            ++mismatches;
-        }
-    }
-
-    const double n = static_cast<double>(syndromes.size());
-    ReportTable table("Serial decode() vs 64-lane decodeBlock(), " +
-                          config + " (identical stream)",
-                      {"path", "wall s", "samples/s", "speedup",
-                       "bit-identical"});
-    table.addRow({"serial", formatFixed(serial_s, 3),
-                  formatFixed(n / serial_s, 0), "(ref)", "(ref)"});
-    table.addRow({"batch64", formatFixed(batch_s, 3),
-                  formatFixed(n / batch_s, 0),
-                  formatRatio(serial_s, batch_s),
-                  mismatches == 0 ? "yes" : "NO"});
-    bench.emit(table);
-    bench.note("batch_samples_per_s", n / batch_s);
-    bench.note("batch_speedup_vs_serial", serial_s / batch_s);
-    if (mismatches != 0) {
-        std::fprintf(stderr,
-                     "batch/serial divergence on %llu samples\n",
-                     static_cast<unsigned long long>(mismatches));
-        std::exit(1);
-    }
-}
-
 /** Process peak RSS in MB (0 when the platform has no getrusage). */
 double
 peakRssMb()
@@ -575,7 +482,6 @@ main(int argc, char **argv)
     }
     bench.emit(table);
     printStageBreakdown(bench, ctx, config, options);
-    printBatchBreakdown(bench, ctx, config, options);
     // The Pinball onboarding rides the same report: its own
     // per-stage breakdown and the cross-predecoder
     // accuracy/coverage table (a --spec filter narrows the run to

@@ -54,7 +54,7 @@ main(int argc, char **argv)
                 exp.circuit.numDetectors(),
                 dem.mechanisms().size(), dem.expectedMechanisms());
 
-    // The circuit itself, round-trippable through circuitFromText.
+    // The circuit itself, one instruction per line.
     std::fputs(qec::circuitToText(exp.circuit).c_str(), stdout);
     return 0;
 }

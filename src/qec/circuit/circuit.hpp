@@ -124,11 +124,8 @@ class Circuit
     std::vector<Instruction> ops;
 };
 
-/** Serialize to the line-oriented text format (see circuit_text.cpp). */
+/** Render as line-oriented text (format in circuit_text.cpp). */
 std::string circuitToText(const Circuit &circuit);
-
-/** Parse the text format; fatal on malformed input. */
-Circuit circuitFromText(const std::string &text);
 
 } // namespace qec
 

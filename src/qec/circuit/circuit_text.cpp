@@ -1,8 +1,9 @@
 /**
  * @file
- * Line-oriented text serialization for circuits.
+ * Line-oriented text rendering of circuits, for inspection (the
+ * library has no reader for it).
  *
- * Format (one instruction per line, '#' comments):
+ * Format (one instruction per line):
  *
  *     QUBITS 25
  *     R 0 1 2
@@ -20,8 +21,6 @@
 
 #include <cstdio>
 #include <sstream>
-
-#include "qec/util/assert.hpp"
 
 namespace qec
 {
@@ -58,90 +57,6 @@ circuitToText(const Circuit &circuit)
         out << '\n';
     }
     return out.str();
-}
-
-Circuit
-circuitFromText(const std::string &text)
-{
-    Circuit circuit;
-    std::istringstream in(text);
-    std::string line;
-    bool saw_qubits = false;
-    while (std::getline(in, line)) {
-        // Strip comments and whitespace-only lines.
-        const size_t hash = line.find('#');
-        if (hash != std::string::npos) {
-            line.resize(hash);
-        }
-        std::istringstream ls(line);
-        std::string head;
-        if (!(ls >> head)) {
-            continue;
-        }
-
-        if (head == "QUBITS") {
-            uint32_t n = 0;
-            if (!(ls >> n)) {
-                QEC_FATAL("QUBITS line missing count");
-            }
-            circuit.setNumQubits(n);
-            saw_qubits = true;
-            continue;
-        }
-        if (!saw_qubits) {
-            QEC_FATAL("circuit text must start with a QUBITS line");
-        }
-
-        // Split "NAME(arg)" into name and argument.
-        double arg = 0.0;
-        uint32_t obs_id = 0;
-        std::string name = head;
-        const size_t paren = head.find('(');
-        if (paren != std::string::npos) {
-            name = head.substr(0, paren);
-            const std::string arg_text =
-                head.substr(paren + 1, head.size() - paren - 2);
-            if (name == "OBSERVABLE") {
-                obs_id = static_cast<uint32_t>(std::stoul(arg_text));
-            } else {
-                arg = std::stod(arg_text);
-            }
-        }
-
-        std::vector<uint32_t> targets;
-        uint32_t t;
-        while (ls >> t) {
-            targets.push_back(t);
-        }
-
-        if (name == "R") {
-            circuit.appendReset(targets);
-        } else if (name == "H") {
-            circuit.appendH(targets);
-        } else if (name == "CX") {
-            circuit.appendCx(targets);
-        } else if (name == "M") {
-            circuit.appendMeasure(targets, arg);
-        } else if (name == "X_ERROR") {
-            circuit.appendXError(targets, arg);
-        } else if (name == "Z_ERROR") {
-            circuit.appendZError(targets, arg);
-        } else if (name == "DEPOLARIZE1") {
-            circuit.appendDepolarize1(targets, arg);
-        } else if (name == "DEPOLARIZE2") {
-            circuit.appendDepolarize2(targets, arg);
-        } else if (name == "TICK") {
-            circuit.appendTick();
-        } else if (name == "DETECTOR") {
-            circuit.appendDetector(targets);
-        } else if (name == "OBSERVABLE") {
-            circuit.appendObservable(obs_id, targets);
-        } else {
-            QEC_FATAL("unknown instruction in circuit text");
-        }
-    }
-    circuit.validate();
-    return circuit;
 }
 
 } // namespace qec

@@ -49,12 +49,36 @@ ImportanceSampler::ImportanceSampler(const DetectorErrorModel &dem,
         acc += m.prob / (1.0 - m.prob);
         cumulative.push_back(acc);
     }
-    // Cache-resident draw index: the per-draw upper-bound search is
-    // the sample stage's hot loop (42% of the pinball stack's serial
-    // time before this), and the Eytzinger layout keeps its first
-    // probe levels in cache instead of striding across the whole
-    // prefix-sum array. Bit-identical ranks (see eytzinger.hpp).
-    draw_.build(cumulative);
+    // One forward sweep: the bucket edges g*total/M ascend with g.
+    const size_t m = cumulative.size();
+    guide.resize(m + 1);
+    size_t rank = 0;
+    for (size_t g = 0; g <= m; ++g) {
+        const double edge = static_cast<double>(g) * acc /
+                            static_cast<double>(m);
+        while (rank < m && cumulative[rank] <= edge) {
+            ++rank;
+        }
+        guide[g] = static_cast<uint32_t>(rank);
+    }
+}
+
+size_t
+ImportanceSampler::drawRank(double u) const
+{
+    const size_t m = cumulative.size();
+    const size_t bucket = static_cast<size_t>(
+        u * static_cast<double>(m) / cumulative.back());
+    size_t rank = guide[std::min(m, bucket)];
+    // u and the bucket edges round independently, so the start may
+    // sit on either side of the answer: walk back, then forward.
+    while (rank > 0 && cumulative[rank - 1] > u) {
+        --rank;
+    }
+    while (rank < m && cumulative[rank] <= u) {
+        ++rank;
+    }
+    return rank;
 }
 
 void
@@ -75,8 +99,7 @@ ImportanceSampler::sample(int k, Rng &rng, Sample &out) const
                    "importance sampling stuck rejecting duplicates");
         const double u = rng.nextDouble() * total;
         const uint32_t idx = static_cast<uint32_t>(
-            std::min<size_t>(draw_.upperBound(u),
-                             cumulative.size() - 1));
+            std::min<size_t>(drawRank(u), cumulative.size() - 1));
         if (std::find(chosen.begin(), chosen.end(), idx) ==
             chosen.end()) {
             chosen.push_back(idx);

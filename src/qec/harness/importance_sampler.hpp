@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "qec/dem/dem.hpp"
-#include "qec/util/eytzinger.hpp"
 #include "qec/util/rng.hpp"
 
 namespace qec
@@ -77,6 +76,15 @@ class ImportanceSampler
      */
     void sample(int k, Rng &rng, Sample &out) const;
 
+    /**
+     * Rank of the first mechanism whose prefix weight exceeds `u`,
+     * for u in [0, total weight]: exactly
+     * std::upper_bound(cumulative, u), ties among zero-weight
+     * mechanisms included. sample() draws mechanism
+     * min(drawRank(u), M-1) for a uniform u.
+     */
+    size_t drawRank(double u) const;
+
   private:
     const DetectorErrorModel &dem_;
     int kMax_;
@@ -85,13 +93,12 @@ class ImportanceSampler
     /** Prefix sums of p/(1-p) weights for weighted mechanism draws. */
     std::vector<double> cumulative;
     /**
-     * Cache-friendly mirror of `cumulative` for the per-draw
-     * upper-bound search; built once here so the hot sample() path
-     * carries no per-call temporaries (the draw itself returns the
-     * exact std::upper_bound rank, keeping samples bit-identical to
-     * the historical binary search).
+     * Guide table (Chen & Asau's cutpoint method): with M
+     * mechanisms, guide[g] is the drawRank of the bucket edge
+     * g*total/M, for g in [0, M]. A draw starts at its bucket's
+     * entry and walks to the exact rank, one step on average.
      */
-    EytzingerIndex draw_;
+    std::vector<uint32_t> guide;
 };
 
 } // namespace qec

@@ -61,7 +61,6 @@
 #include "qec/serve/streaming.hpp"
 #include "qec/util/arena.hpp"
 #include "qec/util/backoff.hpp"
-#include "qec/util/eytzinger.hpp"
 #include "qec/util/time_source.hpp"
 #include "qec/sim/error_enumerator.hpp"
 #include "qec/sim/frame_simulator.hpp"

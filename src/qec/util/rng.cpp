@@ -154,48 +154,4 @@ Rng::biasedMask64(double p)
     return mask;
 }
 
-std::vector<uint32_t>
-Rng::weightedSampleDistinct(const std::vector<double> &weights, int k)
-{
-    const int n = static_cast<int>(weights.size());
-    QEC_ASSERT(k <= n, "cannot sample more items than available");
-    std::vector<uint32_t> chosen;
-    chosen.reserve(k);
-    // Successive draws from the residual distribution. k is small
-    // (<= 24 in the importance sampler), so O(k*n) is fine.
-    std::vector<bool> used(n, false);
-    double total = 0.0;
-    for (double w : weights) {
-        total += w;
-    }
-    for (int pick = 0; pick < k; ++pick) {
-        double u = nextDouble() * total;
-        int selected = -1;
-        for (int i = 0; i < n; ++i) {
-            if (used[i]) {
-                continue;
-            }
-            u -= weights[i];
-            if (u <= 0.0) {
-                selected = i;
-                break;
-            }
-        }
-        if (selected < 0) {
-            // Numerical slack: take the last unused index.
-            for (int i = n - 1; i >= 0; --i) {
-                if (!used[i]) {
-                    selected = i;
-                    break;
-                }
-            }
-        }
-        QEC_ASSERT(selected >= 0, "weighted sampling ran out of items");
-        used[selected] = true;
-        total -= weights[selected];
-        chosen.push_back(static_cast<uint32_t>(selected));
-    }
-    return chosen;
-}
-
 } // namespace qec

@@ -13,7 +13,6 @@
 #define QEC_UTIL_RNG_HPP
 
 #include <cstdint>
-#include <vector>
 
 namespace qec
 {
@@ -67,15 +66,6 @@ class Rng
 
     /** Binomial(n, p) sample via inversion (intended for small n*p). */
     int nextBinomial(int n, double p);
-
-    /**
-     * Sample k distinct indices from [0, n) with probability
-     * proportional to the given weights (without replacement).
-     * Used by the importance sampler to pick which error mechanisms
-     * fire. Requires k <= n.
-     */
-    std::vector<uint32_t> weightedSampleDistinct(
-        const std::vector<double> &weights, int k);
 
   private:
     uint64_t state_[4];

@@ -1,13 +1,12 @@
 /**
  * @file
- * Edge-case and failure-path tests: decomposition fallbacks, text
- * parser rejection, abort propagation in composed decoders, and
- * boundary-heavy union-find cases.
+ * Edge-case and failure-path tests: decomposition fallbacks, abort
+ * propagation in composed decoders, and boundary-heavy union-find
+ * cases.
  */
 
 #include <gtest/gtest.h>
 
-#include "qec/circuit/circuit.hpp"
 #include "qec/decoders/astrea.hpp"
 #include "qec/decoders/astrea_g.hpp"
 #include "qec/decoders/parallel.hpp"
@@ -45,18 +44,6 @@ TEST(DecomposeEdge, ObsRelaxedWhenMasksCannotMatch)
     const GraphlikeDem graphlike = decomposeToGraphlike(dem);
     EXPECT_EQ(graphlike.stats.obsRelaxed, 1u);
     EXPECT_EQ(graphlike.stats.forcedPairings, 0u);
-}
-
-TEST(CircuitTextEdge, RejectsUnknownInstruction)
-{
-    EXPECT_EXIT(circuitFromText("QUBITS 2\nFROB 0 1\n"),
-                ::testing::ExitedWithCode(1), "unknown instruction");
-}
-
-TEST(CircuitTextEdge, RejectsMissingQubitsHeader)
-{
-    EXPECT_EXIT(circuitFromText("H 0\n"),
-                ::testing::ExitedWithCode(1), "QUBITS");
 }
 
 TEST(ParallelEdge, BothSidesAbortingAborts)

@@ -1,13 +1,19 @@
 /**
  * @file
  * Tests for the evaluation harness: histograms, conditional
- * statistics, the importance sampler's distributional properties,
- * report formatting, and the hardware resource models.
+ * statistics, the importance sampler's distributional properties
+ * and its exact-rank draw, report formatting, and the hardware
+ * resource models.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/harness/context.hpp"
@@ -259,6 +265,153 @@ TEST(ImportanceSampler, WeightsBiasTowardProbableMechanisms)
     }
     // w0/w1 = 0.25/0.001001 -> ~99.6% of draws pick mechanism 0.
     EXPECT_GT(heavy, trials * 0.98);
+}
+
+/** Prefix sums of the p/(1-p) draw weights, recomputed here. */
+std::vector<double>
+drawPrefixSums(const DetectorErrorModel &dem)
+{
+    std::vector<double> prefix;
+    double acc = 0.0;
+    for (const DemMechanism &m : dem.mechanisms()) {
+        acc += m.prob / (1.0 - m.prob);
+        prefix.push_back(acc);
+    }
+    return prefix;
+}
+
+size_t
+upperBoundRank(const std::vector<double> &prefix, double u)
+{
+    return static_cast<size_t>(
+        std::upper_bound(prefix.begin(), prefix.end(), u) -
+        prefix.begin());
+}
+
+/**
+ * drawRank(u) against std::upper_bound over the recomputed prefix
+ * sums for u = 0, one ulp either side of (and on) every prefix value
+ * and every bucket edge g*total/M, and `randomProbes` uniform u.
+ */
+void
+expectExactRanks(const DetectorErrorModel &dem, Rng &rng,
+                 int randomProbes)
+{
+    const ImportanceSampler sampler(dem, 4);
+    const std::vector<double> prefix = drawPrefixSums(dem);
+    const double total = prefix.back();
+    const size_t m = prefix.size();
+    const auto expectExact = [&](double u) {
+        if (u >= 0.0 && u <= total) {
+            ASSERT_EQ(sampler.drawRank(u), upperBoundRank(prefix, u))
+                << "u=" << u << " M=" << m;
+        }
+    };
+    const auto expectExactAround = [&](double v) {
+        expectExact(std::nextafter(v, 0.0));
+        expectExact(v);
+        expectExact(
+            std::nextafter(v, std::numeric_limits<double>::infinity()));
+    };
+    expectExact(0.0);
+    for (double v : prefix) {
+        expectExactAround(v);
+    }
+    for (size_t g = 0; g <= m; ++g) {
+        expectExactAround(static_cast<double>(g) * total /
+                          static_cast<double>(m));
+    }
+    for (int trial = 0; trial < randomProbes; ++trial) {
+        expectExact(rng.nextDouble() * total);
+    }
+}
+
+TEST(ImportanceSampler, DrawRankMatchesUpperBound)
+{
+    // The guide-table draw must return std::upper_bound's rank
+    // wherever u and the bucket edges round apart, including runs
+    // of zero-weight mechanisms (ties) at the start, the middle and
+    // the end of the table. One ulp below the total, u*M/total can
+    // round up to M, so a trailing run of ties is only handled by
+    // the walk back from the guide entry.
+    Rng rng(0x9d1de);
+    {
+        SCOPED_TRACE("d=5 surface code");
+        expectExactRanks(ExperimentContext::get(5, 1e-3).dem(), rng,
+                         20000);
+    }
+    for (int model = 0; model < 200; ++model) {
+        const uint32_t m = 2 + static_cast<uint32_t>(rng.nextBelow(63));
+        DetectorErrorModel synthetic(m, 1);
+        bool any_positive = false;
+        for (uint32_t i = 0; i < m; ++i) {
+            if (rng.nextDouble() < 0.3) {
+                // addMechanism drops p <= 0, but XOR-merging two
+                // certain faults leaves a zero-probability mechanism.
+                synthetic.addMechanism({i}, 0, 1.0);
+                synthetic.addMechanism({i}, 0, 1.0);
+            } else {
+                // Log-uniform weights from 1e-6 to 0.3.
+                synthetic.addMechanism(
+                    {i}, i % 2,
+                    1e-6 * std::pow(3e5, rng.nextDouble()));
+                any_positive = true;
+            }
+        }
+        ASSERT_EQ(synthetic.mechanisms().size(), m);
+        if (any_positive) {
+            SCOPED_TRACE("synthetic model " + std::to_string(model));
+            expectExactRanks(synthetic, rng, 1000);
+        }
+    }
+}
+
+TEST(ImportanceSampler, SamplesMatchUpperBoundReference)
+{
+    // sample() against the draw written out longhand: on the same
+    // Rng::forSample streams, rejection-sample distinct mechanisms
+    // by std::upper_bound, then XOR their symptoms through a set.
+    const DetectorErrorModel &dem =
+        ExperimentContext::get(5, 1e-3).dem();
+    const ImportanceSampler sampler(dem, 12);
+    const std::vector<double> prefix = drawPrefixSums(dem);
+    ImportanceSampler::Sample sample;
+    for (int k = 1; k <= 12; ++k) {
+        for (uint64_t i = 0; i < 200; ++i) {
+            Rng rng = Rng::forSample(0x5eed, k, i);
+            sampler.sample(k, rng, sample);
+
+            Rng reference = Rng::forSample(0x5eed, k, i);
+            std::vector<uint32_t> chosen;
+            while (chosen.size() < static_cast<size_t>(k)) {
+                const double u =
+                    reference.nextDouble() * prefix.back();
+                const uint32_t idx = static_cast<uint32_t>(std::min(
+                    upperBoundRank(prefix, u), prefix.size() - 1));
+                if (std::find(chosen.begin(), chosen.end(), idx) ==
+                    chosen.end()) {
+                    chosen.push_back(idx);
+                }
+            }
+            std::set<uint32_t> flipped;
+            uint64_t obs = 0;
+            for (uint32_t idx : chosen) {
+                const DemMechanism &mech = dem.mechanisms()[idx];
+                for (uint32_t det : mech.dets) {
+                    if (!flipped.erase(det)) {
+                        flipped.insert(det);
+                    }
+                }
+                obs ^= mech.obsMask;
+            }
+            ASSERT_EQ(sample.chosen, chosen) << "k=" << k << " i=" << i;
+            ASSERT_EQ(sample.defects,
+                      std::vector<uint32_t>(flipped.begin(),
+                                            flipped.end()))
+                << "k=" << k << " i=" << i;
+            ASSERT_EQ(sample.obsMask, obs) << "k=" << k << " i=" << i;
+        }
+    }
 }
 
 TEST(Report, TableRendersAllCells)

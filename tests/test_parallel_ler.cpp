@@ -13,6 +13,8 @@
  *    main decoder);
  *  - a recording SampleObserver sees the same samples, in the same
  *    order, with the same weights, for any thread count.
+ *  - observers, traces and an accept-all decode filter leave the
+ *    estimate unchanged.
  */
 
 #include <gtest/gtest.h>
@@ -365,6 +367,46 @@ TEST(ParallelLer, DecodeFilterSkipsDeterministicallyAcrossThreads)
                                std::to_string(threads));
         EXPECT_EQ(ref_seen, seen) << threads;
     }
+}
+
+TEST(ParallelLer, EstimateIgnoresObservationOptions)
+{
+    // Watching a run must not change it: no observer, an observer,
+    // an observer with traces, and an accept-all decodeFilter all
+    // give the same estimate.
+    const auto &ctx = ExperimentContext::get(5, 1e-3);
+    auto decoder = build(DecoderSpec::parse("promatch+astrea"),
+                         ctx.graph(), ctx.paths());
+    LerOptions options;
+    options.kMax = 6;
+    options.samplesPerK = 200;
+    options.threads = 2;
+    const LerEstimate plain = estimateLer(ctx, *decoder, options);
+    uint64_t failures = 0;
+    for (const KStats &stats : plain.perK) {
+        failures += stats.failures;
+    }
+    // Failures give the per-k comparison something to disagree on.
+    ASSERT_GT(failures, 0u);
+
+    uint64_t observed = 0;
+    const SampleObserver count = [&](const SampleView &) {
+        ++observed;
+    };
+    expectSameEstimate(plain,
+                       estimateLer(ctx, *decoder, options, count),
+                       "observer");
+    options.collectTraces = true;
+    expectSameEstimate(plain,
+                       estimateLer(ctx, *decoder, options, count),
+                       "observer with traces");
+    EXPECT_EQ(observed, 2u * 6u * 200u);
+    options.collectTraces = false;
+    options.decodeFilter = [](int, const std::vector<uint32_t> &) {
+        return true;
+    };
+    expectSameEstimate(plain, estimateLer(ctx, *decoder, options),
+                       "accept-all filter");
 }
 
 TEST(ParallelLer, ThreadsZeroMeansHardwareConcurrency)

@@ -131,29 +131,19 @@ TEST(CircuitText, RoundTrip)
     c.appendObservable(0, {1});
     c.validate();
 
-    const std::string text = circuitToText(c);
-    const Circuit parsed = circuitFromText(text);
-    EXPECT_EQ(parsed.numQubits(), c.numQubits());
-    EXPECT_EQ(parsed.numMeasurements(), c.numMeasurements());
-    EXPECT_EQ(parsed.numDetectors(), c.numDetectors());
-    EXPECT_EQ(parsed.numObservables(), c.numObservables());
-    // Second serialization must be identical (fixed point).
-    EXPECT_EQ(circuitToText(parsed), text);
-}
-
-TEST(CircuitText, ParsesCommentsAndBlankLines)
-{
-    const std::string text =
-        "QUBITS 3\n"
-        "# a comment\n"
-        "\n"
-        "H 0 1  # trailing comment\n"
-        "M(0.5) 2\n";
-    const Circuit parsed = circuitFromText(text);
-    EXPECT_EQ(parsed.numQubits(), 3u);
-    EXPECT_EQ(parsed.numMeasurements(), 1u);
-    EXPECT_EQ(parsed.instructions().size(), 2u);
-    EXPECT_DOUBLE_EQ(parsed.instructions()[1].arg, 0.5);
+    // Every instruction kind renders on its own line, noise and
+    // noisy-measurement arguments in parentheses.
+    EXPECT_EQ(circuitToText(c), "QUBITS 6\n"
+                                "R 0 1 2\n"
+                                "X_ERROR(0.001) 0 1\n"
+                                "H 3\n"
+                                "DEPOLARIZE1(0.0001) 3\n"
+                                "CX 0 3 1 4\n"
+                                "DEPOLARIZE2(0.0002) 0 3\n"
+                                "TICK\n"
+                                "M(0.003) 3 4\n"
+                                "DETECTOR 0 1\n"
+                                "OBSERVABLE(0) 1\n");
 }
 
 } // namespace

@@ -1,17 +1,16 @@
 /**
  * @file
- * Unit tests for qec::util (rng, bitvec, stats, eytzinger).
+ * Unit tests for qec::util (rng, bitvec, stats).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
 
 #include "qec/util/bitvec.hpp"
-#include "qec/util/eytzinger.hpp"
 #include "qec/util/rng.hpp"
 #include "qec/util/stats.hpp"
 
@@ -93,32 +92,6 @@ TEST(Rng, BinomialMeanIsNP)
     EXPECT_NEAR(total / trials, n * p, 0.1);
 }
 
-TEST(Rng, WeightedSampleDistinctReturnsDistinct)
-{
-    Rng rng(3);
-    std::vector<double> weights = {1, 2, 3, 4, 5, 6, 7, 8};
-    for (int trial = 0; trial < 100; ++trial) {
-        auto picks = rng.weightedSampleDistinct(weights, 5);
-        std::set<uint32_t> unique(picks.begin(), picks.end());
-        EXPECT_EQ(unique.size(), 5u);
-        for (uint32_t idx : picks) {
-            EXPECT_LT(idx, weights.size());
-        }
-    }
-}
-
-TEST(Rng, WeightedSampleDistinctFavorsHeavyItems)
-{
-    Rng rng(17);
-    std::vector<double> weights = {0.001, 1000.0, 0.001};
-    int heavy_hits = 0;
-    for (int trial = 0; trial < 500; ++trial) {
-        auto picks = rng.weightedSampleDistinct(weights, 1);
-        heavy_hits += (picks[0] == 1);
-    }
-    EXPECT_GT(heavy_hits, 490);
-}
-
 TEST(BitVec, SetGetFlip)
 {
     BitVec bits(130);
@@ -186,48 +159,6 @@ TEST(RateStats, RateAndWilson)
     EXPECT_DOUBLE_EQ(rate.rate(), 0.1);
     EXPECT_GT(rate.wilsonHalfWidth(), 0.0);
     EXPECT_LT(rate.wilsonHalfWidth(), 0.1);
-}
-
-TEST(Eytzinger, UpperBoundMatchesStdUpperBound)
-{
-    // The index must return the exact std::upper_bound rank for
-    // every query — below, above, between, and exactly on elements
-    // (duplicates included) — across array sizes around powers of
-    // two. The importance sampler's bit-identity rests on this.
-    Rng rng(0xe7ce);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
-                     size_t{7}, size_t{8}, size_t{9}, size_t{100},
-                     size_t{1000}}) {
-        std::vector<double> sorted;
-        sorted.reserve(n);
-        double acc = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            // Occasional zero-width steps create duplicate values.
-            acc += (rng.nextBelow(4) == 0) ? 0.0
-                                           : rng.nextDouble() + 0.1;
-            sorted.push_back(acc);
-        }
-        EytzingerIndex index(sorted);
-        ASSERT_EQ(index.size(), n);
-
-        auto check = [&](double q) {
-            const size_t expected = static_cast<size_t>(
-                std::upper_bound(sorted.begin(), sorted.end(), q) -
-                sorted.begin());
-            ASSERT_EQ(index.upperBound(q), expected)
-                << "n=" << n << " q=" << q;
-        };
-        check(-1.0);
-        check(acc + 1.0);
-        for (size_t i = 0; i < n; ++i) {
-            check(sorted[i]); // Exactly on an element (tie rule).
-            check(sorted[i] - 1e-9);
-            check(sorted[i] + 1e-9);
-        }
-        for (int t = 0; t < 200; ++t) {
-            check(rng.nextDouble() * (acc + 1.0));
-        }
-    }
 }
 
 } // namespace
