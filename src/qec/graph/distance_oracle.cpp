@@ -1,6 +1,8 @@
 #include "qec/graph/distance_oracle.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -15,17 +17,10 @@ namespace
 {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-constexpr uint32_t kUnseen = 0xffffffffu;
-constexpr uint32_t kSettled = 0xfffffffeu;
+/** The dist of a node not labelled this run, and a gather's radius. */
+constexpr double kInfDist = std::numeric_limits<double>::infinity();
+constexpr uint32_t kSeed = 0xffffffffu;
 constexpr uint32_t kNoSlot = 0xffffffffu;
-
-/** The (dist, node id) order every pop follows (file comment).
- *  Branch-free: heap comparisons are data-dependent coin flips. */
-inline bool
-before(double da, uint32_t a, double db, uint32_t b)
-{
-    return (da < db) | ((da == db) & (a < b));
-}
 
 } // namespace
 
@@ -37,99 +32,137 @@ DistanceOracle::bind(const DecodingGraph &graph)
     }
     graph_ = &graph;
     n_ = graph.numDetectors();
-    rt::assignFill(label_, n_, Label{0.0, kUnseen, 0, 0});
+    double wMin = kInfDist;
+    double wMax = 0.0;
+    for (const GraphEdge &edge : graph.edges()) {
+        wMin = std::min(wMin, edge.weight);
+        wMax = std::max(wMax, edge.weight);
+    }
+    QEC_ASSERT(wMin > 0.0, "edge weights must be positive");
+    // Buckets a hair narrower than the lightest edge (file comment);
+    // without edges nothing is relaxed and one bucket suffices.
+    invWidth_ = wMin != kInfDist ? 1.0 / (wMin * (1.0 - 1e-9)) : 0.0;
+    // Labelled nodes span fewer than ceil(wMax / width) + 2 buckets;
+    // a power-of-two ring turns a bucket's slot into a mask.
+    const uint32_t ring = std::bit_ceil(
+        static_cast<uint32_t>(std::ceil(wMax * invWidth_)) + 2);
+    ringMask_ = ring - 1;
+    rt::assignFill(label_, n_, Label{kInfDist, kSeed, 0, 0});
+    rt::resizeTo(next_, n_ + ring);
+    rt::resizeTo(prev_, n_ + ring);
     rt::resizeTo(touched_, n_);
-    touchedSize_ = 0;
-    rt::resizeTo(heap_, n_);
-    heapSize_ = 0;
     rt::assignFill(targetSlot_, n_, kNoSlot);
+    reset();
+}
+
+uint64_t
+DistanceOracle::bucketOf(double dist) const
+{
+    return static_cast<uint64_t>(dist * invWidth_);
+}
+
+uint32_t
+DistanceOracle::headOf(uint64_t bucket) const
+{
+    return n_ + static_cast<uint32_t>(bucket & ringMask_);
 }
 
 void
-DistanceOracle::siftUp(uint32_t i, HeapEntry entry)
+DistanceOracle::link(uint32_t node)
 {
-    while (i > 0) {
-        const uint32_t parent = (i - 1) / 4;
-        const HeapEntry &up = heap_[parent];
-        if (!before(entry.dist, entry.node, up.dist, up.node)) {
-            break;
-        }
-        heap_[i] = up;
-        label_[up.node].pos = i;
-        i = parent;
-    }
-    heap_[i] = entry;
-    label_[entry.node].pos = i;
+    const uint32_t head = headOf(bucketOf(label_[node].dist));
+    const uint32_t first = next_[head];
+    next_[node] = first;
+    prev_[node] = head;
+    prev_[first] = node;
+    next_[head] = node;
+}
+
+void
+DistanceOracle::unlink(uint32_t node)
+{
+    next_[prev_[node]] = next_[node];
+    prev_[next_[node]] = prev_[node];
 }
 
 void
 DistanceOracle::seed(uint32_t node, double dist, uint8_t obs,
                      uint8_t hops)
 {
-    Label &label = label_[node];
-    label.dist = dist;
-    label.obs = obs;
-    label.hops = hops;
+    label_[node] = Label{dist, kSeed, obs, hops};
     touched_[touchedSize_++] = node;
-    siftUp(heapSize_++, {dist, node});
+    ++queued_;
+    link(node);
 }
 
-uint32_t
-DistanceOracle::popMin()
-{
-    const uint32_t u = heap_[0].node;
-    label_[u].pos = kSettled;
-    if (--heapSize_ == 0) {
-        return u;
-    }
-    // Sift the last entry down from the root.
-    const HeapEntry entry = heap_[heapSize_];
-    uint32_t i = 0;
-    for (;;) {
-        const uint32_t first = 4 * i + 1;
-        if (first >= heapSize_) {
-            break;
-        }
-        const uint32_t last = std::min(first + 4, heapSize_);
-        uint32_t best = first;
-        for (uint32_t c = first + 1; c < last; ++c) {
-            best = before(heap_[c].dist, heap_[c].node,
-                          heap_[best].dist, heap_[best].node)
-                       ? c
-                       : best;
-        }
-        const HeapEntry &down = heap_[best];
-        if (!before(down.dist, down.node, entry.dist, entry.node)) {
-            break;
-        }
-        heap_[i] = down;
-        label_[down.node].pos = i;
-        i = best;
-    }
-    heap_[i] = entry;
-    label_[entry.node].pos = i;
-    return u;
-}
-
+/**
+ * The one settle loop of grow() and settleAll(): empties the
+ * buckets in order from cur_, calling settle(u, label) on each node
+ * before relaxing its edges; a false return ends the run. Before
+ * each bucket the per-bucket stop rule reads `stopAt`, which
+ * settle() may lower as targets settle.
+ */
+template <typename Settle>
 void
-DistanceOracle::relax(uint32_t u)
+DistanceOracle::run(const double &stopAt, Settle settle)
 {
-    const Label from = label_[u];
-    const uint8_t hops =
-        from.hops == 255 ? uint8_t{255}
-                         : static_cast<uint8_t>(from.hops + 1);
-    for (const WeightedHalfEdge &half : graph_->weightedNeighbors(u)) {
-        const uint32_t w = half.neighbor;
-        Label &to = label_[w];
-        const double dw = from.dist + half.weight;
-        if (to.pos == kUnseen) {
-            seed(w, dw, from.obs ^ half.obs, hops);
-        } else if (to.pos != kSettled && dw < to.dist) {
-            to.dist = dw;
-            to.obs = from.obs ^ half.obs;
-            to.hops = hops;
-            siftUp(to.pos, {dw, w});
+    while (queued_ > 0) {
+        uint32_t head = headOf(cur_);
+        while (next_[head] == head) {
+            head = headOf(++cur_);
         }
+        if (stopAt != kInfDist) {
+            double least = kInfDist;
+            for (uint32_t v = next_[head]; v != head; v = next_[v]) {
+                least = std::min(least, label_[v].dist);
+            }
+            if (static_cast<double>(static_cast<float>(least)) >
+                stopAt) {
+                return; // Every unsettled target is beyond its radius.
+            }
+        }
+        // Relaxation never lands in this bucket (file comment), so
+        // its list only shrinks while it is settled.
+        do {
+            const uint32_t u = next_[head];
+            unlink(u);
+            --queued_;
+            const Label from = label_[u];
+            if (!settle(u, from)) {
+                return;
+            }
+            const uint8_t hops =
+                from.hops == 255 ? uint8_t{255}
+                                 : static_cast<uint8_t>(from.hops + 1);
+            for (const WeightedHalfEdge &half :
+                 graph_->weightedNeighbors(u)) {
+                const uint32_t w = half.neighbor;
+                Label &to = label_[w];
+                const double dw = from.dist + half.weight;
+                if (dw < to.dist) {
+                    if (to.dist == kInfDist) {
+                        touched_[touchedSize_++] = w;
+                        ++queued_;
+                    } else {
+                        unlink(w);
+                    }
+                    to = Label{dw, u, static_cast<uint8_t>(from.obs ^
+                                                           half.obs),
+                               hops};
+                    link(w);
+                } else if (dw == to.dist && to.parent != kSeed) {
+                    // Tie rule: the (dist, id)-first predecessor
+                    // wins; to.parent is settled, its dist final.
+                    const double dp = label_[to.parent].dist;
+                    if (from.dist < dp ||
+                        (from.dist == dp && u < to.parent)) {
+                        to.parent = u;
+                        to.obs = from.obs ^ half.obs;
+                        to.hops = hops;
+                    }
+                }
+            }
+        } while (next_[head] != head);
     }
 }
 
@@ -137,10 +170,14 @@ void
 DistanceOracle::reset()
 {
     for (uint32_t t = 0; t < touchedSize_; ++t) {
-        label_[touched_[t]].pos = kUnseen;
+        label_[touched_[t]].dist = kInfDist;
     }
     touchedSize_ = 0;
-    heapSize_ = 0;
+    queued_ = 0;
+    for (uint32_t head = n_; head <= n_ + ringMask_; ++head) {
+        next_[head] = head;
+        prev_[head] = head;
+    }
 }
 
 void
@@ -158,7 +195,7 @@ DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
     }
     // Slots by descending radius: byRadius_[top] is the unsettled
     // target with the largest radius, the one the stop rule reads.
-    double stopAt = std::numeric_limits<double>::infinity();
+    double stopAt = kInfDist;
     uint32_t top = 0;
     if (!radii.empty()) {
         rt::resizeTo(byRadius_, count);
@@ -170,32 +207,30 @@ DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
         stopAt = count > 0 ? radii[byRadius_[0]] : 0.0;
     }
 
-    seed(src, 0.0, 0, 0);
-    uint32_t remaining = count;
-    while (remaining > 0 && heapSize_ > 0) {
-        const double du = heap_[0].dist;
-        if (static_cast<double>(static_cast<float>(du)) > stopAt) {
-            break; // Every unsettled target lies beyond its radius.
-        }
-        const uint32_t u = popMin();
-        const uint32_t slot = targetSlot_[u];
-        if (slot != kNoSlot) {
-            const Label &label = label_[u];
-            out[slot] = PathCell{static_cast<float>(du), label.obs,
-                                 label.hops};
-            --remaining;
+    if (count > 0) {
+        cur_ = 0;
+        seed(src, 0.0, 0, 0);
+        uint32_t remaining = count;
+        run(stopAt, [&](uint32_t u, const Label &label) {
+            const uint32_t slot = targetSlot_[u];
+            if (slot == kNoSlot) {
+                return true;
+            }
+            out[slot] = PathCell{static_cast<float>(label.dist),
+                                 label.obs, label.hops};
+            targetSlot_[u] = kNoSlot; // Marks the target settled.
             if (!radii.empty()) {
                 while (top < count &&
-                       label_[targets[byRadius_[top]]].pos ==
-                           kSettled) {
+                       targetSlot_[targets[byRadius_[top]]] ==
+                           kNoSlot) {
                     ++top;
                 }
                 stopAt = top < count ? radii[byRadius_[top]] : 0.0;
             }
-        }
-        relax(u);
+            return --remaining > 0;
+        });
+        reset();
     }
-    reset();
     for (uint32_t target : targets) {
         targetSlot_[target] = kNoSlot;
     }
@@ -206,16 +241,24 @@ DistanceOracle::settleAll(std::span<const DijkstraSeed> seeds,
                           PathCell *out)
 {
     QEC_ASSERT(graph_ != nullptr, "DistanceOracle is not bound");
+    if (seeds.empty()) {
+        return;
+    }
+    double least = kInfDist;
     for (const DijkstraSeed &s : seeds) {
+        least = std::min(least, s.dist);
+    }
+    cur_ = bucketOf(least);
+    for (const DijkstraSeed &s : seeds) {
+        QEC_ASSERT(bucketOf(s.dist) - cur_ <= ringMask_,
+                   "seed distances span more buckets than the ring");
         seed(s.node, s.dist, s.obs, s.hops);
     }
-    while (heapSize_ > 0) {
-        const double du = heap_[0].dist;
-        const uint32_t u = popMin();
-        out[u] = PathCell{static_cast<float>(du), label_[u].obs,
-                          label_[u].hops};
-        relax(u);
-    }
+    run(kInfDist, [&](uint32_t u, const Label &label) {
+        out[u] = PathCell{static_cast<float>(label.dist), label.obs,
+                          label.hops};
+        return true;
+    });
     reset();
 }
 

@@ -21,32 +21,48 @@
  * Labels: distances accumulate in double along the path (the double
  * GraphEdge weights, inlined in the CSR) and are narrowed to float
  * once, on record; obs XORs the 8-bit edge masks; hops saturates at
- * 255. Boundary edges never serve as intermediate hops. Relaxation
- * is strict improvement in CSR (ascending edge id) order, so among
- * equal-distance paths the first one found keeps its obs and hops.
+ * 255. Boundary edges never serve as intermediate hops.
  *
- * Pop order: the heap is an indexed 4-ary heap with decrease-key,
- * ordered by (double dist, node id). Each unsettled node sits in it
- * once, under its current tentative distance, so every pop settles
- * the minimum (dist, id) among unsettled labelled nodes. That is the
- * same sequence a lazy binary heap of (dist, id) entries settles:
- * a stale entry of a node always carries a larger distance than its
- * live one and is skipped. Since the settle order fixes which
- * equal-distance predecessor relaxes a node first, every label —
- * obs and hops included — is independent of the heap's layout.
+ * Bucket order: the queue is Dial's bucket queue (CACM 12(11),
+ * 1969). Bucket b holds the unsettled labelled nodes whose double
+ * distance d has floor(d / width) == b, with width a hair narrower
+ * than the lightest edge, w_min·(1 − 1e-9) (w_min > 0: every weight
+ * is log((1−p)/p) with p in (0, 0.5)). A node settled from bucket b
+ * relaxes its neighbours to at least b·width + w_min, which lies in
+ * bucket b + 1 or later; the 1e-9 margin absorbs the rounding of
+ * the sum and of the bucket index. So when the search reaches
+ * bucket b every label in it is final, and its nodes are settled
+ * in whatever order its list holds them. Labelled nodes span fewer
+ * than ceil(w_max / width) + 2 consecutive buckets (w_max over all
+ * edges, boundary edges included, so settleAll's boundary seeds
+ * fit), and the buckets live in a ring of at least that many heads,
+ * rounded up to a power of two.
  *
- * Per-target stop rule: Dijkstra settles nodes in nondecreasing
- * distance and a settled label is final. grow() stops once the
- * popped distance, narrowed to float, exceeds the largest radius
- * among the targets not yet settled. Every such target's own float
- * distance is at least the popped one, so it lies strictly beyond
- * its radius even after narrowing — the float value a dense-table
- * consumer would have read. Targets are reported {inf, 0, 255}.
+ * Tie rule: relaxation replaces a label on strict improvement. On
+ * an exact tie the predecessor that comes first in (dist, node id)
+ * order takes the label, and a seed never loses a tie. Every tied
+ * predecessor lies in an earlier bucket than the node, hence is
+ * settled with a final distance when the tie is met, so the rule
+ * picks the minimum (dist, id) predecessor among all that reach the
+ * node's distance — the same label a (dist, id)-ordered heap gives
+ * by keeping the first of them it settles. Every label — obs and
+ * hops included — is therefore independent of the order a bucket
+ * is settled in.
+ *
+ * Per-bucket stop rule: grow() stops before settling a bucket whose
+ * least distance, narrowed to float, exceeds the largest radius
+ * among the targets not yet settled. Each such target lies in that
+ * bucket or a later one, so its float distance is at least that
+ * least one and exceeds its radius. A target whose float distance
+ * is at most its radius is therefore always reported exactly; a
+ * target beyond its radius comes back either exactly (settled
+ * with the bucket) or as {inf, 0, 255}.
  *
  * Memory contract: labels are reset through a touched list after
- * each run and the heap is preallocated at bind(), so a warm oracle
- * performs zero heap allocations per query (the DecodeWorkspace
- * property). One oracle must not be shared between threads.
+ * each run and the bucket lists are preallocated at bind(), so a
+ * warm oracle performs zero heap allocations per query (the
+ * DecodeWorkspace property) and no state carries between runs. One
+ * oracle must not be shared between threads.
  */
 
 #ifndef QEC_GRAPH_DISTANCE_ORACLE_HPP
@@ -75,20 +91,25 @@ struct DijkstraSeed
 class DistanceOracle
 {
   public:
-    /** Bind to a graph, sizing the scratch; cheap when already
+    /** Bind to a graph, sizing the scratch and deriving the bucket
+     *  width and ring from its edge weights; cheap when already
      *  bound to the same graph. */
     void bind(const DecodingGraph &graph);
 
     /**
      * Single-source growth from `src`: fills out[k] with the
      * PathCell for targets[k] (bit-identical to the dense PathTable
-     * entry) for every target settled before the stop rule fires
-     * (file comment); the rest — beyond their radius, or unreachable
-     * without crossing the boundary — come back as {inf, 0, 255}.
+     * entry) for every target settled before the per-bucket stop
+     * rule fires (file comment); the rest come back as
+     * {inf, 0, 255}.
      *
      * `radii[k]` is the stop radius of targets[k]; an empty `radii`
-     * means every radius is infinite (a full gather). The search
-     * ends as soon as every target is settled.
+     * means every radius is infinite (a full gather). A target
+     * whose float distance is at most its radius is always
+     * reported; one beyond its radius may come back exact or
+     * infinite, so a caller must treat both alike. Targets
+     * unreachable without crossing the boundary come back infinite.
+     * The search ends as soon as every target is settled.
      *
      * `targets` must be distinct detector indices; `out` must hold
      * targets.size() cells. `src` may itself appear in `targets`
@@ -110,32 +131,34 @@ class DistanceOracle
     /** Per-detector search state (16 bytes, one load per relax). */
     struct Label
     {
-        double dist = 0.0;
-        uint32_t pos = 0; //!< Heap index, kUnseen or kSettled.
+        double dist = 0.0; //!< Tentative or final; +inf if unseen.
+        uint32_t parent = 0; //!< Relaxing predecessor, or kSeed.
         uint8_t obs = 0;
         uint8_t hops = 0;
     };
 
-    /** Heap entry: the node and a copy of its key. */
-    struct HeapEntry
-    {
-        double dist;
-        uint32_t node;
-    };
-
     void seed(uint32_t node, double dist, uint8_t obs, uint8_t hops);
-    uint32_t popMin();
-    void relax(uint32_t u);
-    void siftUp(uint32_t i, HeapEntry entry);
+    uint64_t bucketOf(double dist) const;
+    uint32_t headOf(uint64_t bucket) const;
+    void link(uint32_t node);
+    void unlink(uint32_t node);
+    template <typename Settle>
+    void run(const double &stopAt, Settle settle);
     void reset();
 
     const DecodingGraph *graph_ = nullptr;
     uint32_t n_ = 0;
+    double invWidth_ = 0.0; //!< 1 / bucket width.
+    uint32_t ringMask_ = 0; //!< Ring size − 1 (a power of two).
+    uint64_t cur_ = 0;      //!< Absolute index of the open bucket.
+    uint32_t queued_ = 0;   //!< Labelled, not yet settled.
     std::vector<Label> label_;
+    // Intrusive circular lists: entries [0, n_) are detectors,
+    // entry n_ + s is the head (sentinel) of ring slot s.
+    std::vector<uint32_t> next_;
+    std::vector<uint32_t> prev_;
     std::vector<uint32_t> touched_;   //!< Labelled this run.
     uint32_t touchedSize_ = 0;
-    std::vector<HeapEntry> heap_;     //!< 4-ary, heapSize_ live.
-    uint32_t heapSize_ = 0;
     std::vector<uint32_t> targetSlot_; //!< Slot into out, or kNoSlot.
     std::vector<uint32_t> byRadius_;   //!< Slots, radius descending.
 };

@@ -67,7 +67,8 @@ SparseMatchingProblem::build(const PathTable &paths,
     // targets j > i the landmark bound cannot rule out, each with
     // radius db(i) + db(j). A pair dropped by the bound, or left
     // unsettled at its radius, fails keepCandidate on its dense cell
-    // too, so both backends produce the identical candidate set
+    // too, and a cell reported past its radius is exact and fails it
+    // as well, so both backends produce the identical candidate set
     // (oracle cells are bit-identical to table cells).
     oracle_.bind(paths.graph());
     rt::resizeTo(rowScratch_, static_cast<size_t>(n_));

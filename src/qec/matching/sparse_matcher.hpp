@@ -31,9 +31,13 @@
  * the two landmark cells and of the pair cell itself — proves
  * d(i, j) >= db(i) + db(j) for most far-apart pairs. Second, each
  * source's growth gives every remaining target j its own stop
- * radius db(i) + db(j), and the search ends once the float-narrowed
- * frontier passes the largest radius still unsettled, so every
- * target left unsettled is provably prunable. Both tests compare
+ * radius db(i) + db(j), and the search stops before a distance
+ * bucket whose least float-narrowed distance passes the largest
+ * radius still unsettled, so every target left unsettled is
+ * provably prunable. A target past its radius may instead come
+ * back exact, settled with its bucket; keepCandidate drops it just
+ * the same, so the candidate set does not depend on where the
+ * search stopped. Both tests compare
  * the same double sum of the two float boundary cells that the
  * dense backend compares its table cell against. When boundary
  * distances are infinite neither test drops a reachable pair and

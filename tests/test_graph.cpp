@@ -3,14 +3,20 @@
  * Tests for the decoding graph and path tables, including the
  * ascending pair rows the subgraph build relies on, a
  * Floyd-Warshall cross-check of the Dijkstra all-pairs distances,
- * the DistanceOracle contract on deferred tables, and admissibility
- * of the landmark lower bound.
+ * the DistanceOracle contract on deferred tables, a textbook
+ * Dijkstra cross-check of the bucket queue's tie rule, and
+ * admissibility of the landmark lower bound.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
@@ -152,9 +158,10 @@ TEST(PathTable, BoundaryUsesBestAttachment)
 TEST(PathTable, EqualDistanceTiesFollowNodeIdPopOrder)
 {
     // Two equal-weight paths 0-1-3 and 0-2-3 that differ in
-    // observable parity. Nodes 1 and 2 tie at the same distance; the
-    // (dist, node id) pop order settles 1 first, so 3 keeps the label
-    // relaxed through 1. Dense cells and oracle growth agree on it.
+    // observable parity. Nodes 1 and 2 tie at the same distance and
+    // share a bucket, which may settle them in either order; the tie
+    // rule hands 3 the label of the predecessor first in (dist, node
+    // id) order, node 1. Dense cells and oracle growth agree on it.
     GraphlikeDem dem;
     dem.numDetectors = 4;
     dem.numObservables = 1;
@@ -306,6 +313,193 @@ TEST(DistanceOracle, GrowMatchesDenseTableUnderPerTargetRadii)
         EXPECT_GT(finite, 0) << "d=" << d;
         EXPECT_GT(beyond, 0) << "d=" << d;
     }
+}
+
+/**
+ * Textbook Dijkstra: a lazy binary heap of (dist, id) entries and
+ * strict improvement, so among equal-distance predecessors the first
+ * one settled in (dist, id) order keeps the label. Returns the cell
+ * of every detector ({inf, 0, 255} when unreached).
+ */
+std::vector<PathCell>
+referenceDijkstra(const DecodingGraph &graph,
+                  const std::vector<DijkstraSeed> &seeds)
+{
+    const uint32_t n = graph.numDetectors();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> dist(n, kInf);
+    std::vector<PathCell> cell(
+        n, PathCell{std::numeric_limits<float>::infinity(), 0, 255});
+    std::vector<uint8_t> settled(n, 0);
+    using Entry = std::pair<double, uint32_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
+        heap;
+    for (const DijkstraSeed &s : seeds) {
+        dist[s.node] = s.dist;
+        cell[s.node].obs = s.obs;
+        cell[s.node].hops = s.hops;
+        heap.push({s.dist, s.node});
+    }
+    while (!heap.empty()) {
+        const auto [d, u] = heap.top();
+        heap.pop();
+        if (settled[u] || d != dist[u]) {
+            continue; // Stale entry.
+        }
+        settled[u] = 1;
+        cell[u].dist = static_cast<float>(d);
+        const uint8_t hops =
+            cell[u].hops == 255 ? uint8_t{255}
+                                : static_cast<uint8_t>(cell[u].hops + 1);
+        for (const WeightedHalfEdge &half : graph.weightedNeighbors(u)) {
+            const uint32_t w = half.neighbor;
+            const double dw = d + half.weight;
+            if (!settled[w] && dw < dist[w]) {
+                dist[w] = dw;
+                cell[w].obs = cell[u].obs ^ half.obs;
+                cell[w].hops = hops;
+                heap.push({dw, w});
+            }
+        }
+    }
+    return cell;
+}
+
+/** Random DEM whose probabilities all come from `probs`: repeated
+ *  weights make many exactly equal path sums. */
+GraphlikeDem
+tieHeavyDem(Rng &rng, uint32_t n, const std::vector<double> &probs)
+{
+    GraphlikeDem dem;
+    dem.numDetectors = n;
+    dem.numObservables = 3;
+    const auto pick = [&] {
+        return probs[rng.next64() % probs.size()];
+    };
+    std::set<std::pair<uint32_t, uint32_t>> seen;
+    const uint64_t edges = 2 * uint64_t{n} + rng.next64() % (2 * n);
+    for (uint64_t e = 0; e < edges; ++e) {
+        const uint32_t a = static_cast<uint32_t>(rng.next64() % n);
+        const uint32_t b = static_cast<uint32_t>(rng.next64() % n);
+        if (a == b || !seen.insert({std::min(a, b), std::max(a, b)})
+                           .second) {
+            continue;
+        }
+        dem.edges.push_back(
+            {std::min(a, b), std::max(a, b), rng.next64() % 8, pick()});
+    }
+    for (uint32_t det = 0; det < n; ++det) {
+        if (rng.next64() % 3 == 0) {
+            dem.edges.push_back({det, kBoundary, rng.next64() % 8,
+                                 pick()});
+        }
+    }
+    return dem;
+}
+
+TEST(DistanceOracle, MatchesReferenceDijkstraOnTieHeavyDems)
+{
+    // Dense rows, the multi-seed boundary column and grow() under
+    // random radii all match the textbook Dijkstra bit for bit on
+    // random DEMs built from a few probabilities, where exact ties
+    // are everywhere. {1e-9, 0.49} spans weights 0.04..20.7, a ring
+    // of hundreds of buckets.
+    const std::vector<std::vector<double>> probSets = {
+        {0.1}, {0.1, 0.01}, {0.05, 0.2, 0.3}, {1e-3, 0.02},
+        {1e-9, 0.49}};
+    Rng rng(0x7ee5);
+    size_t denseCells = 0;
+    size_t grownCells = 0;
+    size_t beyondReported = 0;
+    for (int model = 0; model < 200; ++model) {
+        const std::vector<double> &probs = probSets[model % 5];
+        const uint32_t n = 2 + static_cast<uint32_t>(rng.next64() % 60);
+        const DecodingGraph graph =
+            DecodingGraph::fromDem(tieHeavyDem(rng, n, probs));
+        const PathTable paths(graph);
+        const std::string where = "model " + std::to_string(model);
+
+        std::vector<std::vector<PathCell>> ref(n);
+        for (uint32_t src = 0; src < n; ++src) {
+            ref[src] = referenceDijkstra(graph, {{src, 0.0, 0, 0}});
+            for (uint32_t v = 0; v < n; ++v) {
+                const PathCell &got = paths.cell(src, v);
+                const PathCell &want = ref[src][v];
+                ASSERT_EQ(got.dist, want.dist)
+                    << where << " pair " << src << "," << v;
+                ASSERT_EQ(got.obs, want.obs)
+                    << where << " pair " << src << "," << v;
+                ASSERT_EQ(got.hops, want.hops)
+                    << where << " pair " << src << "," << v;
+            }
+            denseCells += n;
+        }
+
+        std::vector<DijkstraSeed> seeds;
+        for (uint32_t det = 0; det < n; ++det) {
+            const int eid = graph.boundaryEdge(det);
+            if (eid >= 0) {
+                const GraphEdge &edge = graph.edges()[eid];
+                seeds.push_back({det, edge.weight,
+                                 static_cast<uint8_t>(edge.obsMask), 1});
+            }
+        }
+        const std::vector<PathCell> boundary =
+            referenceDijkstra(graph, seeds);
+        for (uint32_t v = 0; v < n; ++v) {
+            const PathCell &got = paths.boundaryCell(v);
+            ASSERT_EQ(got.dist, boundary[v].dist) << where << " b" << v;
+            ASSERT_EQ(got.obs, boundary[v].obs) << where << " b" << v;
+            ASSERT_EQ(got.hops, boundary[v].hops) << where << " b" << v;
+        }
+
+        DistanceOracle oracle;
+        oracle.bind(graph);
+        for (int trial = 0; trial < 20; ++trial) {
+            const uint32_t src =
+                static_cast<uint32_t>(rng.next64() % n);
+            std::vector<uint32_t> targets;
+            std::vector<double> radii;
+            for (uint32_t v = 0; v < n; ++v) {
+                if (rng.next64() % 3 != 0) {
+                    continue;
+                }
+                targets.push_back(v);
+                // Radii at, just below and around the float cell.
+                const double exact = ref[src][v].dist;
+                const uint64_t kind = rng.next64() % 4;
+                radii.push_back(
+                    kind == 0   ? exact
+                    : kind == 1 ? std::nextafter(exact, 0.0)
+                                : exact * (0.5 + rng.nextDouble()));
+            }
+            std::vector<PathCell> out(targets.size());
+            oracle.grow(src, targets, radii, out.data());
+            for (size_t k = 0; k < targets.size(); ++k) {
+                const PathCell &want = ref[src][targets[k]];
+                const std::string at = where + " src " +
+                                       std::to_string(src) + " target " +
+                                       std::to_string(targets[k]);
+                if (std::isfinite(out[k].dist)) {
+                    ++grownCells;
+                    beyondReported += want.dist > radii[k];
+                    ASSERT_EQ(out[k].dist, want.dist) << at;
+                    ASSERT_EQ(out[k].obs, want.obs) << at;
+                    ASSERT_EQ(out[k].hops, want.hops) << at;
+                } else {
+                    ASSERT_FALSE(std::isfinite(want.dist) &&
+                                 want.dist <= radii[k])
+                        << at << ": within its radius, not reported";
+                    ASSERT_EQ(out[k].obs, 0) << at;
+                    ASSERT_EQ(out[k].hops, 255) << at;
+                }
+            }
+        }
+    }
+    EXPECT_GT(denseCells, 100000u);
+    EXPECT_GT(grownCells, 10000u);
+    // The per-bucket stop does report some targets past their radius.
+    EXPECT_GT(beyondReported, 0u);
 }
 
 TEST(PathTable, LandmarkBoundIsAdmissible)

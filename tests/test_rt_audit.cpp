@@ -11,7 +11,10 @@
  *    allowlist and root baseline;
  *  - an allowlist entry that matches no edge fails the audit as
  *    stale, so exemptions cannot silently outlive the code they
- *    were written for.
+ *    were written for;
+ *  - a baseline that differs from the annotated root set in either
+ *    direction — a root it does not list, or a listed symbol that
+ *    is not annotated — fails the audit.
  *
  * Only compiled when QEC_RT_AUDIT is ON (the build provides the
  * auditor binary and fixture objects; tests/CMakeLists.txt injects
@@ -135,8 +138,7 @@ TEST(RtAudit, LibraryHotPathsAuditClean)
     const AuditRun run = runAudit(
         commonArgs() + " --filter src/qec/" + " --allow \"" + src +
         "/tools/rt_audit/allow.txt\"" + " --baseline \"" + src +
-        "/tools/rt_audit/baseline.txt\"" +
-        " --require-roots 25 --unknown error");
+        "/tools/rt_audit/baseline.txt\"" + " --unknown error");
     EXPECT_EQ(run.exitCode, 0) << run.output;
     EXPECT_NE(run.output.find(" 0 violations"), std::string::npos)
         << run.output;
@@ -164,12 +166,77 @@ TEST(RtAudit, StaleAllowlistEntryFails)
 
     const AuditRun run = runAudit(
         commonArgs() + " --filter src/qec/" + " --allow \"" + tmp +
-        "\" --require-roots 25 --unknown error");
+        "\" --unknown error");
     std::remove(tmp.c_str());
     EXPECT_EQ(run.exitCode, 1) << run.output;
     EXPECT_NE(run.output.find("STALE"), std::string::npos)
         << run.output;
     EXPECT_NE(run.output.find("_ZN3qec19NoSuchSymbolAnywhereEv"),
+              std::string::npos)
+        << run.output;
+}
+
+/** Run the library audit against a baseline whose text is
+ *  `baseline`, written to a temporary file. */
+AuditRun
+runWithBaseline(const std::string &baseline, const std::string &name)
+{
+    const std::string src = QEC_RT_AUDIT_SRC;
+    const std::string tmp = testing::TempDir() + name;
+    {
+        std::ofstream out(tmp);
+        out << baseline;
+    }
+    AuditRun run = runAudit(
+        commonArgs() + " --filter src/qec/" + " --allow \"" + src +
+        "/tools/rt_audit/allow.txt\"" + " --baseline \"" + tmp +
+        "\" --unknown error");
+    std::remove(tmp.c_str());
+    return run;
+}
+
+std::string
+committedBaseline()
+{
+    std::ifstream in(std::string(QEC_RT_AUDIT_SRC) +
+                     "/tools/rt_audit/baseline.txt");
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(RtAudit, BaselineMissingARootFails)
+{
+    // The committed baseline without DistanceOracle::grow, which is
+    // still annotated: an unlisted root fails the audit.
+    std::string baseline = committedBaseline();
+    const size_t at = baseline.find("_ZN3qec14DistanceOracle4grow");
+    ASSERT_NE(at, std::string::npos);
+    const size_t end = baseline.find('\n', at);
+    const std::string root = baseline.substr(at, end - at);
+    baseline.erase(at, end + 1 - at);
+
+    const AuditRun run =
+        runWithBaseline(baseline, "rt_audit_unlisted_root.txt");
+    EXPECT_EQ(run.exitCode, 1) << run.output;
+    EXPECT_NE(run.output.find("BASELINE-UNLISTED " + root),
+              std::string::npos)
+        << run.output;
+}
+
+TEST(RtAudit, BaselineListingAnUnannotatedSymbolFails)
+{
+    // The committed baseline plus DistanceOracle::settleAll, a real
+    // function that carries no QEC_REALTIME: the state a root is in
+    // after its annotation is dropped.
+    const std::string symbol =
+        "_ZN3qec14DistanceOracle9settleAllESt4spanIKNS_12DijkstraSeed"
+        "ELm18446744073709551615EEPNS_8PathCellE";
+    const AuditRun run = runWithBaseline(
+        committedBaseline() + symbol + "\n",
+        "rt_audit_unannotated_root.txt");
+    EXPECT_EQ(run.exitCode, 1) << run.output;
+    EXPECT_NE(run.output.find("BASELINE-MISSING " + symbol),
               std::string::npos)
         << run.output;
 }

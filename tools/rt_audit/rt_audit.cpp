@@ -32,8 +32,9 @@
  * and function-pointer calls carry no relocation, so polymorphic
  * hot paths are closed by annotating every override (enforced
  * socially by review plus --baseline, which fails when the audited
- * root set shrinks). Address-taken functions do produce
- * relocations and are traversed conservatively as calls.
+ * root set differs from the committed list in either direction).
+ * Address-taken functions do produce relocations and are traversed
+ * conservatively as calls.
  */
 
 #include <cxxabi.h>
@@ -822,7 +823,6 @@ struct Options
     std::string baselinePath;
     std::string writeBaselinePath;
     std::string reportPath;
-    int requireRoots = 0;
     enum { kIgnore, kWarn, kError } unknownPolicy = kWarn;
     bool verbose = false;
 };
@@ -865,14 +865,12 @@ usage(const char *argv0)
         "                          (repeatable; default src/qec/)\n"
         "  --allow <file>          allowlist of exempted edge"
         " targets (glob + reason)\n"
-        "  --baseline <file>       fail if any listed root symbol"
-        " is no longer audited\n"
+        "  --baseline <file>       fail unless the audited root"
+        " symbols are exactly the listed ones\n"
         "  --write-baseline <file> write the current root symbol"
         " list and exit\n"
         "  --report <file>         write the full call-graph"
         " report\n"
-        "  --require-roots <n>     fail when fewer than n roots"
-        " are found\n"
         "  --unknown <policy>      ignore|warn|error for"
         " unclassified externals\n"
         "  --verbose               log per-object progress\n",
@@ -908,8 +906,6 @@ main(int argc, char **argv)
             opt.writeBaselinePath = next("--write-baseline");
         } else if (arg == "--report") {
             opt.reportPath = next("--report");
-        } else if (arg == "--require-roots") {
-            opt.requireRoots = std::atoi(next("--require-roots"));
         } else if (arg == "--unknown") {
             const std::string policy = next("--unknown");
             if (policy == "ignore") {
@@ -1008,8 +1004,10 @@ main(int argc, char **argv)
                " per line.\n"
             << "# Regenerate with: qec-rt-audit ..."
                " --write-baseline <this file>\n"
-            << "# CI fails when a listed root is no longer"
-               " annotated (dropped QEC_REALTIME).\n";
+            << "# The audit fails unless the annotated roots are"
+               " exactly these:\n"
+            << "# a dropped QEC_REALTIME and an unlisted new root"
+               " both fail.\n";
         for (int root : roots) {
             out << graph.node(root).mangled << "\n";
         }
@@ -1173,7 +1171,7 @@ main(int argc, char **argv)
         report << "  " << line << "\n";
     }
 
-    bool baselineMissing = false;
+    bool baselineMismatch = false;
     if (!opt.baselinePath.empty()) {
         std::ifstream in(opt.baselinePath);
         if (!in) {
@@ -1186,8 +1184,8 @@ main(int argc, char **argv)
         for (int root : roots) {
             current.insert(graph.node(root).mangled);
         }
+        std::set<std::string> listed;
         std::string line;
-        size_t listed = 0;
         while (std::getline(in, line)) {
             const size_t start = line.find_first_not_of(" \t");
             if (start == std::string::npos || line[start] == '#') {
@@ -1198,20 +1196,25 @@ main(int argc, char **argv)
                 start, end == std::string::npos
                            ? std::string::npos
                            : end - start);
-            ++listed;
+            listed.insert(name);
             if (current.count(name) == 0) {
-                baselineMissing = true;
+                baselineMismatch = true;
                 std::printf("BASELINE-MISSING %s  # %s\n",
                             name.c_str(),
                             demangle(name).c_str());
                 report << "BASELINE-MISSING " << name << "\n";
             }
         }
-        if (current.size() > listed) {
-            std::printf("note: %zu roots vs %zu in baseline —"
-                        " update %s (--write-baseline)\n",
-                        current.size(), listed,
-                        opt.baselinePath.c_str());
+        // An annotated root the baseline does not list is as much
+        // a mismatch as a listed one that lost its annotation: the
+        // baseline is the one exact record of the audited set.
+        for (const std::string &name : current) {
+            if (listed.count(name) == 0) {
+                baselineMismatch = true;
+                std::printf("BASELINE-UNLISTED %s  # %s\n",
+                            name.c_str(), demangle(name).c_str());
+                report << "BASELINE-UNLISTED " << name << "\n";
+            }
         }
     }
 
@@ -1238,15 +1241,7 @@ main(int argc, char **argv)
     }
 
     bool failed = !violations.empty() || staleAllow ||
-                  baselineMissing;
-    if (opt.requireRoots > 0 &&
-        static_cast<int>(roots.size()) < opt.requireRoots) {
-        std::printf("rt-audit: only %zu roots found, %d required —"
-                    " the QEC_REALTIME marker scheme is broken or"
-                    " annotations were dropped\n",
-                    roots.size(), opt.requireRoots);
-        failed = true;
-    }
+                  baselineMismatch;
     if (opt.unknownPolicy == Options::kError &&
         !unknownEdges.empty()) {
         failed = true;
