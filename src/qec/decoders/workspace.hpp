@@ -23,10 +23,12 @@
  *    touches `defectGraph`), and only `predecodeResult.residual`
  *    must survive a nested decode (the pipeline's handoff — main
  *    decoders must not write `predecodeResult`).
- *  - `arena` is for transients that die before the owning
- *    component returns: a component may reset() it at the top of
- *    its own decode/predecode step, and must not hold arena spans
- *    across a call into another component.
+ *  - `predecodeScratch` holds the predecoders' per-call transients
+ *    (edge lists, per-defect arrays): a predecoder sizes what
+ *    it uses with rt::growTo at the top of its own predecode step
+ *    and writes it by index against its own counts, so nothing left
+ *    over from an earlier, larger decode is ever read. Nothing in
+ *    it survives the call.
  *
  * See docs/api.md ("Workspace & memory contract") for the narrative
  * version.
@@ -46,7 +48,6 @@
 #include "qec/matching/sparse_matcher.hpp"
 #include "qec/predecode/predecoder.hpp"
 #include "qec/predecode/syndrome_subgraph.hpp"
-#include "qec/util/arena.hpp"
 
 namespace qec
 {
@@ -71,11 +72,38 @@ struct BlockScratch
     std::vector<uint32_t> touched;
 };
 
-/** Caller-owned scratch arena for one decode stack on one thread. */
+/** One subgraph edge with its matching weight, as the greedy
+ *  predecoders (Promatch's rounds, Smith's sorted pass) scan it. */
+struct WeightedEdge
+{
+    int32_t i;
+    int32_t j;
+    uint32_t eid;
+    float w; //!< DecodingGraph::edgeWeight(eid).
+};
+
+/**
+ * Per-call transients of the predecoders. Each array is grow-only
+ * (rt::growTo to a bound known at the top of the call: the
+ * subgraph's pairs().size() or size()) and valid only up to the
+ * count the current call keeps.
+ */
+struct PredecodeScratch
+{
+    /** Promatch's round edge list / Smith's weight-sorted list. */
+    std::vector<WeightedEdge> edges;
+    /** Per-defect flags: Smith's matched, Clique's covered. */
+    std::vector<uint8_t> flags;
+    /** Pinball: each defect's proposed partner and its edge. */
+    std::vector<int32_t> proposal;
+    std::vector<uint32_t> proposalEdge;
+};
+
+/** Caller-owned scratch for one decode stack on one thread. */
 struct DecodeWorkspace
 {
-    /** Bump storage for per-decode transients (see file comment). */
-    MonotonicArena arena;
+    /** Predecoder transients (see file comment). */
+    PredecodeScratch predecodeScratch;
     /** Predecode layer: the defect subgraph, rebuilt in place. */
     SyndromeSubgraph subgraph;
     /** Gathered S×S PathTable block of the current syndrome. The

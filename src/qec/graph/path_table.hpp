@@ -27,7 +27,8 @@
  *
  * Deferred mode: the pair half of the table is O(V²) cells plus V
  * per-source Dijkstras, which is what caps setup at d≈13 (≈54 MB at
- * d=17, ≈187 MB at d=21 — see bench/table8_storage.cpp). A table
+ * d=17, ≈187 MB at d=21 — see the table8 rows of
+ * bench/reproduce.cpp, `bench_reproduce --artifact table8`). A table
  * constructed with PathTable::DeferPairs skips it and keeps only
  * O(V) data: the boundary column and kLandmarks farthest-point
  * landmark columns (distance from each of 16 detectors to every

@@ -4,7 +4,6 @@
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
-#include "qec/util/arena.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
 
@@ -29,15 +28,15 @@ CliquePredecoder::predecode(std::span<const uint32_t> defects,
     // needs the static in-set degrees and sole neighbors.
     SyndromeSubgraph &sg = workspace.subgraph;
     sg.build(graph_, defects);
-    MonotonicArena &arena = workspace.arena;
-    arena.reset();
     const int n = sg.size();
+    std::vector<uint8_t> &flags = workspace.predecodeScratch.flags;
+    rt::growTo(flags, static_cast<size_t>(n));
 
     // Simple patterns: isolated pairs, or lone defects one hop from
     // the boundary. All-or-nothing (NSM).
     uint64_t obs = 0;
     double weight = 0.0;
-    uint8_t *covered = arena.allocate<uint8_t>(n);
+    uint8_t *const covered = flags.data();
     std::fill_n(covered, n, uint8_t{0});
     for (int i = 0; i < n; ++i) {
         if (covered[i]) {

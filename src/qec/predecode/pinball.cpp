@@ -5,7 +5,6 @@
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
-#include "qec/util/arena.hpp"
 #include "qec/util/assert.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
@@ -82,12 +81,12 @@ PinballPredecoder::predecode(std::span<const uint32_t> defects,
 
     SyndromeSubgraph &sg = workspace.subgraph;
     sg.build(graph_, defects);
-    MonotonicArena &arena = workspace.arena;
-    arena.reset();
     const int n = sg.size();
-
-    int32_t *proposal = arena.allocate<int32_t>(n);
-    uint32_t *proposalEdge = arena.allocate<uint32_t>(n);
+    PredecodeScratch &scratch = workspace.predecodeScratch;
+    rt::growTo(scratch.proposal, static_cast<size_t>(n));
+    rt::growTo(scratch.proposalEdge, static_cast<size_t>(n));
+    int32_t *const proposal = scratch.proposal.data();
+    uint32_t *const proposalEdge = scratch.proposalEdge.data();
 
     for (int round = 0; round < config_.rounds; ++round) {
         // No sg.refresh() needed: the propose loop reads only the

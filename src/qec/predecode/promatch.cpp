@@ -6,27 +6,12 @@
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/matching/matching_problem.hpp"
-#include "qec/util/arena.hpp"
 #include "qec/util/assert.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
 
 namespace qec
 {
-
-namespace
-{
-
-/** One subgraph edge as the Promatch rounds read it. */
-struct RoundEdge
-{
-    int32_t i;
-    int32_t j;
-    uint32_t eid;
-    float w; //!< DecodingGraph::edgeWeight(eid).
-};
-
-} // namespace
 
 void
 PromatchPredecoder::predecode(std::span<const uint32_t> defects,
@@ -45,11 +30,6 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
     // rounds. When it does fire, the pipeline's main decoder later
     // resolves its residual as a subset of the same block.
     DistanceView &dv = workspace.distances;
-    // All per-round lists below are arena transients; they die with
-    // this call, and the arena keeps its high-water capacity across
-    // decodes (zero allocations once warm).
-    MonotonicArena &arena = workspace.arena;
-    arena.reset();
     bool engaged = false;
 
     // Adaptive HW target (§4.1): the largest T the main decoder can
@@ -67,7 +47,7 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         return 6; // Nothing fits; keep shrinking, pipeline aborts.
     };
 
-    const auto match_pair = [&](const RoundEdge &e) {
+    const auto match_pair = [&](const WeightedEdge &e) {
         result.obsMask ^= graph_.edgeObsMask(e.eid);
         result.weight += e.w;
         sg.kill(e.i);
@@ -81,19 +61,19 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
     };
 
     // The round edge list: the subgraph's pairs, built once with
-    // their weights and compacted in place each round to the
+    // their weights into workspace scratch (grown only while
+    // warming up) and compacted in place each round to the
     // alive-alive edges, keeping the order.
     const std::span<const SubgraphEdge> pairs = sg.pairs();
-    RoundEdge *const edge_list =
-        arena.allocate<RoundEdge>(pairs.size());
+    rt::growTo(workspace.predecodeScratch.edges, pairs.size());
+    WeightedEdge *const edge_list =
+        workspace.predecodeScratch.edges.data();
     for (size_t e = 0; e < pairs.size(); ++e) {
         const SubgraphEdge &p = pairs[e];
         edge_list[e] = {p.i, p.j, p.edgeId,
                         graph_.edgeWeight(p.edgeId)};
     }
-    std::span<RoundEdge> edges(edge_list, pairs.size());
-    ArenaVector<RoundEdge> isolated(arena, 16);
-    ArenaVector<int> singletons(arena, 16);
+    std::span<WeightedEdge> edges(edge_list, pairs.size());
 
     int guard = 0;
     while (true) {
@@ -103,7 +83,7 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
             break;
         }
         size_t kept = 0;
-        for (const RoundEdge &e : edges) {
+        for (const WeightedEdge &e : edges) {
             edge_list[kept] = e;
             kept += sg.alive(e.i) && sg.alive(e.j);
         }
@@ -124,21 +104,24 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         ++result.rounds;
         sg.refresh();
 
-        // --- Step 1: isolated pairs, applied as a batch.
-        isolated.clear();
-        for (const RoundEdge &e : edges) {
-            if (sg.degree(e.i) == 1 && sg.degree(e.j) == 1) {
-                isolated.push_back(e);
+        // --- Step 1: isolated pairs, applied as a batch. degree()
+        // reads the round-start snapshot, which the kills do not
+        // change until the next refresh(), and isolated pairs share
+        // no endpoint, so matching while scanning commits exactly
+        // the batch.
+        bool any_isolated = false;
+        for (const WeightedEdge &e : edges) {
+            if (sg.degree(e.i) != 1 || sg.degree(e.j) != 1) {
+                continue;
             }
+            any_isolated = true;
+            if (sg.aliveCount() <= target_now(result.cycles)) {
+                break;
+            }
+            match_pair(e);
         }
-        if (!isolated.empty()) {
+        if (any_isolated) {
             result.steps.step1 = true;
-            for (const RoundEdge &e : isolated) {
-                if (sg.aliveCount() <= target_now(result.cycles)) {
-                    break;
-                }
-                match_pair(e);
-            }
             continue;
         }
 
@@ -146,15 +129,16 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         struct Candidate
         {
             double weight = kNoEdge;
-            const RoundEdge *edge = nullptr;
+            const WeightedEdge *edge = nullptr;
         };
         Candidate c21, c22, c41, c42;
-        const auto consider = [&](Candidate &c, const RoundEdge &e) {
+        const auto consider = [&](Candidate &c,
+                                  const WeightedEdge &e) {
             if (e.w < c.weight) {
                 c = {e.w, &e};
             }
         };
-        for (const RoundEdge &e : edges) {
+        for (const WeightedEdge &e : edges) {
             const bool deg1 =
                 std::min(sg.degree(e.i), sg.degree(e.j)) == 1;
             if (!creates_singleton(e.i, e.j)) {
@@ -175,39 +159,40 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         Step3Candidate c3;
         bool used_step3_scan = false;
         if (config_.enableStep3 && !c21.edge && !c22.edge) {
-            singletons.clear();
-            for (int i = 0; i < sg.size(); ++i) {
-                if (sg.alive(i) && sg.degree(i) == 0) {
-                    singletons.push_back(i);
+            // Singletons are the alive degree-0 nodes; the scan only
+            // reads, so it walks them in index order directly.
+            long long paths = 0;
+            for (int s = 0; s < sg.size(); ++s) {
+                if (!sg.alive(s) || sg.degree(s) != 0) {
+                    continue;
+                }
+                if (!used_step3_scan) {
+                    used_step3_scan = true;
+                    dv.gather(paths_, defects);
+                }
+                // Boundary is always a legal partner. All path
+                // lookups below hit the gathered dense block
+                // (bit-copies of the PathTable).
+                ++paths;
+                const double bw = dv.distToBoundary(s);
+                if (std::isfinite(bw) && bw < c3.weight) {
+                    c3 = {bw, s, -1};
+                }
+                for (int i = 0; i < sg.size(); ++i) {
+                    if (!sg.alive(i) || i == s) {
+                        continue;
+                    }
+                    ++paths;
+                    if (sg.removalCreatesSingleton(i)) {
+                        continue;
+                    }
+                    const double w = dv.dist(s, i);
+                    if (std::isfinite(w) && w < c3.weight) {
+                        c3 = {w, s, i};
+                    }
                 }
             }
-            if (!singletons.empty()) {
-                used_step3_scan = true;
-                dv.gather(paths_, defects);
-                long long paths = 0;
-                for (int s : singletons) {
-                    // Boundary is always a legal partner. All path
-                    // lookups below hit the gathered dense block
-                    // (bit-copies of the PathTable).
-                    ++paths;
-                    const double bw = dv.distToBoundary(s);
-                    if (std::isfinite(bw) && bw < c3.weight) {
-                        c3 = {bw, s, -1};
-                    }
-                    for (int i = 0; i < sg.size(); ++i) {
-                        if (!sg.alive(i) || i == s) {
-                            continue;
-                        }
-                        ++paths;
-                        if (sg.removalCreatesSingleton(i)) {
-                            continue;
-                        }
-                        const double w = dv.dist(s, i);
-                        if (std::isfinite(w) && w < c3.weight) {
-                            c3 = {w, s, i};
-                        }
-                    }
-                }
+            if (used_step3_scan) {
                 // Step-3 charge: the path engine runs beside the
                 // edge pipeline (§6.4), also split across lanes.
                 const int lanes3 =

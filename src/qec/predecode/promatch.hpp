@@ -29,9 +29,9 @@
  *
  * In software the rounds run on one edge list per call: the
  * subgraph's pairs() (ordered by (i, j)) copied once into the
- * workspace arena as {i, j, edge id, float weight} records and
- * compacted in place at the start of every round to the alive-alive
- * edges, order kept. Every scan reads that list, and Steps 1, 2 and
+ * workspace's predecode scratch as {i, j, edge id, float weight}
+ * records (WeightedEdge) and compacted in place at the start of
+ * every round to the alive-alive edges, order kept. Every scan reads that list, and Steps 1, 2 and
  * 4 commit through the stored edge id, so no round searches a CSR
  * row for an edge.
  */

@@ -4,25 +4,11 @@
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
-#include "qec/util/arena.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
 
 namespace qec
 {
-
-namespace
-{
-
-/** A defect-defect adjacency, sortable by weight. */
-struct LocalEdge
-{
-    double weight;
-    uint32_t eid;
-    int i, j;
-};
-
-} // namespace
 
 void
 SmithPredecoder::predecode(std::span<const uint32_t> defects,
@@ -35,46 +21,40 @@ SmithPredecoder::predecode(std::span<const uint32_t> defects,
     result.reset();
     result.rounds = 1;
 
-    // Collect subgraph edges (defect-defect adjacencies) from the
-    // shared workspace-rebuilt subgraph view.
+    // The subgraph's edges (defect-defect adjacencies) with their
+    // weights, copied into workspace scratch sized to pairs().
     SyndromeSubgraph &sg = workspace.subgraph;
     sg.build(graph_, defects);
-    MonotonicArena &arena = workspace.arena;
-    arena.reset();
     const int n = sg.size();
-
-    ArenaVector<LocalEdge> edges(arena, 64);
-    for (int i = 0; i < n; ++i) {
-        for (int32_t o = 0; o < sg.degree(i); ++o) {
-            const int j = sg.neighbors(i)[o];
-            if (j > i) {
-                const uint32_t eid = sg.edgeIdAt(i, o);
-                edges.push_back(
-                    {graph_.edgeWeight(eid), eid, i, j});
-            }
-        }
+    const std::span<const SubgraphEdge> pairs = sg.pairs();
+    PredecodeScratch &scratch = workspace.predecodeScratch;
+    rt::growTo(scratch.edges, pairs.size());
+    rt::growTo(scratch.flags, static_cast<size_t>(n));
+    WeightedEdge *const edges = scratch.edges.data();
+    for (size_t e = 0; e < pairs.size(); ++e) {
+        const SubgraphEdge &p = pairs[e];
+        edges[e] = {p.i, p.j, p.edgeId, graph_.edgeWeight(p.edgeId)};
     }
-    result.cycles = static_cast<long long>(edges.size());
+    result.cycles = static_cast<long long>(pairs.size());
 
     // Total order (weight, then edge id): ties between equal-weight
     // edges resolve identically no matter in which order the
     // subgraph collected them.
-    std::sort(edges.begin(), edges.end(),
-              [](const LocalEdge &a, const LocalEdge &b) {
-                  return a.weight != b.weight ? a.weight < b.weight
-                                              : a.eid < b.eid;
+    std::sort(edges, edges + pairs.size(),
+              [](const WeightedEdge &a, const WeightedEdge &b) {
+                  return a.w != b.w ? a.w < b.w : a.eid < b.eid;
               });
 
-    uint8_t *matched = arena.allocate<uint8_t>(n);
+    uint8_t *const matched = scratch.flags.data();
     std::fill_n(matched, n, uint8_t{0});
-    for (const LocalEdge &edge : edges) {
+    for (const WeightedEdge &edge : std::span(edges, pairs.size())) {
         if (matched[edge.i] || matched[edge.j]) {
             continue;
         }
         matched[edge.i] = 1;
         matched[edge.j] = 1;
         result.obsMask ^= graph_.edgeObsMask(edge.eid);
-        result.weight += graph_.edgeWeight(edge.eid);
+        result.weight += edge.w;
     }
 
     for (int i = 0; i < n; ++i) {

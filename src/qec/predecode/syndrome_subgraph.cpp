@@ -7,22 +7,6 @@
 namespace qec
 {
 
-namespace
-{
-
-/** Grow a scratch array only when a build needs more than any
- *  earlier one; builds then write by index. */
-template <typename T>
-void
-growTo(std::vector<T> &v, size_t n)
-{
-    if (v.size() < n) {
-        rt::resizeTo(v, n);
-    }
-}
-
-} // namespace
-
 void
 SyndromeSubgraph::build(const DecodingGraph &graph,
                         std::span<const uint32_t> defects)
@@ -44,15 +28,15 @@ SyndromeSubgraph::build(const DecodingGraph &graph,
     n_ = n;
     aliveCount_ = n;
     numDirty_ = 0;
-    growTo(dets_, n);
-    growTo(alive_, n);
-    growTo(deg_, n);
-    growTo(dependent_, n);
-    growTo(degLive_, n);
-    growTo(depLive_, n);
-    growTo(dirty_, n + 1);
-    growTo(dirtyFlag_, n);
-    growTo(adjOffset_, n + 1);
+    rt::growTo(dets_, n);
+    rt::growTo(alive_, n);
+    rt::growTo(deg_, n);
+    rt::growTo(dependent_, n);
+    rt::growTo(degLive_, n);
+    rt::growTo(depLive_, n);
+    rt::growTo(dirty_, n + 1);
+    rt::growTo(dirtyFlag_, n);
+    rt::growTo(adjOffset_, n + 1);
 
     // Node pass: index the defects, reset the per-node state and
     // bound the edge count by the forward half-edges to scan.
@@ -74,7 +58,7 @@ SyndromeSubgraph::build(const DecodingGraph &graph,
     // write lands at an index <= t and `forward` slots suffice.
     // Defects are sorted, so a kept j exceeds i, and the forward
     // rows ascend: the list comes out ordered by (i, j).
-    growTo(pairs_, forward);
+    rt::growTo(pairs_, forward);
     SubgraphEdge *const pairs = pairs_.data();
     int o = 0;
     for (int i = 0; i < n; ++i) {
@@ -102,8 +86,8 @@ SyndromeSubgraph::build(const DecodingGraph &graph,
         deg_[i] = degLive_[i];
     }
     adjOffset_[n] = end;
-    growTo(adjNode_, static_cast<size_t>(end));
-    growTo(adjEdge_, static_cast<size_t>(end));
+    rt::growTo(adjNode_, static_cast<size_t>(end));
+    rt::growTo(adjEdge_, static_cast<size_t>(end));
     for (int e = o - 1; e >= 0; --e) {
         const SubgraphEdge &p = pairs[e];
         const int32_t at_i = --adjOffset_[p.i];

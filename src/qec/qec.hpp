@@ -59,7 +59,6 @@
 #include "qec/serve/server.hpp"
 #include "qec/serve/stream.hpp"
 #include "qec/serve/streaming.hpp"
-#include "qec/util/arena.hpp"
 #include "qec/util/backoff.hpp"
 #include "qec/util/time_source.hpp"
 #include "qec/sim/error_enumerator.hpp"

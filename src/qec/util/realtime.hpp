@@ -14,8 +14,8 @@
  * Place QEC_REALTIME; as the first statement of every hot-path
  * entry point: Decoder::decode/decodeBlock and
  * Predecoder::predecode/predecodeBlock implementations, the
- * matching/oracle layer, SyndromeSubgraph build/refresh, the arena,
- * and the serve worker loop. The macro emits one address-
+ * matching/oracle layer, SyndromeSubgraph build/refresh, and the
+ * serve worker loop. The macro emits one address-
  * materializing instruction whose relocation names
  * qec_rt_root_anchor; the auditor treats any function whose body
  * relocates against that anchor as an audit root. The instruction
@@ -26,7 +26,7 @@
  * it at build time, with the deliberate exceptions documented in
  * tools/rt_audit/allow.txt):
  *  - no allocation outside the workspace discipline (capacity-
- *    keeping members and the MonotonicArena cold grow path),
+ *    keeping members grown through the qec::rt funnels),
  *  - no locks, condition variables, or one-time-init guards,
  *  - no clock or sleep syscalls (inject a TimeSource instead),
  *  - no throwing, no I/O (funnel invariant failures through
@@ -72,10 +72,10 @@ extern const char qec_rt_root_anchor[];
 
 /**
  * Outlined-cold-path attribute: the auditor's allowlist exempts
- * deliberate cold paths (arena chunk growth, trace bookkeeping,
- * panic formatting) by symbol name, which only works when the cold
- * path *is* a symbol — QEC_RT_COLD keeps it from inlining back into
- * the annotated caller.
+ * deliberate cold paths (trace bookkeeping, panic formatting) by
+ * symbol name, which only works when the cold path *is* a symbol —
+ * QEC_RT_COLD keeps it from inlining back into the annotated
+ * caller.
  */
 #if defined(__GNUC__) || defined(__clang__)
 #define QEC_RT_COLD __attribute__((noinline, cold))

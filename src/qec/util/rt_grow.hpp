@@ -29,6 +29,11 @@
  *     rt::reserveTo(v, n)          for v.reserve(n)
  *     rt::pushBack(v, x)           for v.push_back(x)
  *
+ * rt::growTo(v, n) is the by-index scratch idiom on top: it resizes
+ * only when a call needs more than any earlier one, and the caller
+ * then writes elements [0, count) against its own count (no
+ * per-element push_back, no per-call clear or assign).
+ *
  * A plain member call in an audited body is how the auditor flags a
  * *stray* container (a temporary vector constructed on the hot
  * path): those must be moved into the workspace, not funneled.
@@ -99,6 +104,17 @@ QEC_RT_OUTLINE void
 appendRange(std::vector<T, A> &v, It first, It last)
 {
     v.insert(v.end(), first, last);
+}
+
+/** Grow a by-index scratch array to at least n elements; a no-op
+ *  (no call, no zero-fill) once warm. */
+template <typename T, typename A>
+inline void
+growTo(std::vector<T, A> &v, size_t n)
+{
+    if (v.size() < n) {
+        resizeTo(v, n);
+    }
 }
 
 } // namespace qec::rt
