@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -21,12 +22,36 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr double kInfDist = std::numeric_limits<double>::infinity();
 constexpr uint32_t kSeed = 0xffffffffu;
 constexpr uint32_t kNoSlot = 0xffffffffu;
+constexpr uint32_t kLandmarks = PathTable::kLandmarks;
+/** Relative widening of the landmark hull (header, "Landmark hull"). */
+constexpr double kHullSlack = 4e-6;
+
+/** Four float lanes (GCC/Clang vector extension: SSE, NEON, ...). */
+using Lanes = float __attribute__((vector_size(16)));
+using LaneMask = int32_t __attribute__((vector_size(16)));
+
+Lanes
+loadLanes(const float *p)
+{
+    Lanes lanes;
+    std::memcpy(&lanes, p, sizeof lanes);
+    return lanes;
+}
 
 } // namespace
 
 void
-DistanceOracle::bind(const DecodingGraph &graph)
+DistanceOracle::bind(const DecodingGraph &graph,
+                     std::span<const float> landmarks)
 {
+    QEC_ASSERT(landmarks.empty() ||
+                   landmarks.size() ==
+                       size_t{graph.numDetectors()} * kLandmarks,
+               "landmark rows must be the table's, kLandmarks each");
+    landmarks_ = landmarks.empty() ? nullptr : landmarks.data();
+    if (landmarks_ != nullptr) {
+        rt::resizeTo(hull_, size_t{2} * kLandmarks);
+    }
     if (graph_ == &graph) {
         return;
     }
@@ -100,11 +125,13 @@ DistanceOracle::seed(uint32_t node, double dist, uint8_t obs,
  * buckets in order from cur_, calling settle(u, label) on each node
  * before relaxing its edges; a false return ends the run. Before
  * each bucket the per-bucket stop rule reads `stopAt`, which
- * settle() may lower as targets settle.
+ * settle() may lower as targets settle. A relaxation that would
+ * improve node w to dw happens only if admit(w, dw) holds (the
+ * landmark hull; settleAll admits all).
  */
-template <typename Settle>
+template <typename Settle, typename Admit>
 void
-DistanceOracle::run(const double &stopAt, Settle settle)
+DistanceOracle::run(const double &stopAt, Settle settle, Admit admit)
 {
     while (queued_ > 0) {
         uint32_t head = headOf(cur_);
@@ -127,6 +154,7 @@ DistanceOracle::run(const double &stopAt, Settle settle)
             const uint32_t u = next_[head];
             unlink(u);
             --queued_;
+            ++settled_;
             const Label from = label_[u];
             if (!settle(u, from)) {
                 return;
@@ -140,6 +168,9 @@ DistanceOracle::run(const double &stopAt, Settle settle)
                 Label &to = label_[w];
                 const double dw = from.dist + half.weight;
                 if (dw < to.dist) {
+                    if (!admit(w, dw)) {
+                        continue;
+                    }
                     if (to.dist == kInfDist) {
                         touched_[touchedSize_++] = w;
                         ++queued_;
@@ -180,6 +211,58 @@ DistanceOracle::reset()
     }
 }
 
+/** Recomputes hull_ over the targets not yet settled (header,
+ *  "Landmark hull"); every radius is finite. */
+void
+DistanceOracle::buildHull(std::span<const uint32_t> targets,
+                          std::span<const double> radii)
+{
+    double lo[kLandmarks];
+    double hi[kLandmarks];
+    double scale[kLandmarks]; // H: max finite L_l(t) + r_t.
+    std::fill(lo, lo + kLandmarks, kInfDist);
+    std::fill(hi, hi + kLandmarks, -kInfDist);
+    std::fill(scale, scale + kLandmarks, 0.0);
+    for (size_t k = 0; k < targets.size(); ++k) {
+        if (targetSlot_[targets[k]] == kNoSlot) {
+            continue; // Settled.
+        }
+        const float *row =
+            landmarks_ + size_t{targets[k]} * kLandmarks;
+        for (uint32_t l = 0; l < kLandmarks; ++l) {
+            const double at = row[l];
+            lo[l] = std::min(lo[l], at - radii[k]);
+            hi[l] = std::max(hi[l], at + radii[k]);
+            if (at != kInfDist) {
+                scale[l] = std::max(scale[l], at + radii[k]);
+            }
+        }
+    }
+    for (uint32_t l = 0; l < kLandmarks; ++l) {
+        hull_[l] = static_cast<float>(lo[l] - kHullSlack * scale[l]);
+        hull_[kLandmarks + l] =
+            static_cast<float>(hi[l] + kHullSlack * scale[l]);
+    }
+}
+
+/** The hull test of a relaxation of `node` to `dist`: four 4-lane
+ *  compares of L_l(node) -/+ dist against lo_l/hi_l. */
+bool
+DistanceOracle::inHull(uint32_t node, double dist) const
+{
+    const float *row = landmarks_ + size_t{node} * kLandmarks;
+    const float d = static_cast<float>(dist);
+    LaneMask outside = {0, 0, 0, 0};
+    for (uint32_t l = 0; l < kLandmarks; l += 4) {
+        const Lanes at = loadLanes(row + l);
+        outside |= (at - d < loadLanes(hull_.data() + l)) |
+                   (at + d > loadLanes(hull_.data() + kLandmarks + l));
+    }
+    uint64_t halves[2];
+    std::memcpy(halves, &outside, sizeof halves);
+    return (halves[0] | halves[1]) == 0;
+}
+
 void
 DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
                      std::span<const double> radii, PathCell *out)
@@ -206,29 +289,48 @@ DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
                   });
         stopAt = count > 0 ? radii[byRadius_[0]] : 0.0;
     }
+    // The landmark hull needs radii, all finite (header).
+    const bool prune = landmarks_ != nullptr && !radii.empty() &&
+                       stopAt != kInfDist;
 
     if (count > 0) {
+        if (prune) {
+            buildHull(targets, radii);
+        }
         cur_ = 0;
         seed(src, 0.0, 0, 0);
         uint32_t remaining = count;
-        run(stopAt, [&](uint32_t u, const Label &label) {
-            const uint32_t slot = targetSlot_[u];
-            if (slot == kNoSlot) {
-                return true;
-            }
-            out[slot] = PathCell{static_cast<float>(label.dist),
-                                 label.obs, label.hops};
-            targetSlot_[u] = kNoSlot; // Marks the target settled.
-            if (!radii.empty()) {
-                while (top < count &&
-                       targetSlot_[targets[byRadius_[top]]] ==
-                           kNoSlot) {
-                    ++top;
+        run(
+            stopAt,
+            [&](uint32_t u, const Label &label) {
+                const uint32_t slot = targetSlot_[u];
+                if (slot == kNoSlot) {
+                    return true;
                 }
-                stopAt = top < count ? radii[byRadius_[top]] : 0.0;
-            }
-            return --remaining > 0;
-        });
+                const float dist = static_cast<float>(label.dist);
+                // Past its radius a pruned label may be inexact.
+                if (!prune || static_cast<double>(dist) <= radii[slot]) {
+                    out[slot] = PathCell{dist, label.obs, label.hops};
+                }
+                targetSlot_[u] = kNoSlot; // Marks the target settled.
+                if (--remaining == 0) {
+                    return false;
+                }
+                if (!radii.empty()) {
+                    while (targetSlot_[targets[byRadius_[top]]] ==
+                           kNoSlot) {
+                        ++top;
+                    }
+                    stopAt = radii[byRadius_[top]];
+                }
+                if (prune) {
+                    buildHull(targets, radii);
+                }
+                return true;
+            },
+            [&](uint32_t w, double dw) {
+                return !prune || inHull(w, dw);
+            });
         reset();
     }
     for (uint32_t target : targets) {
@@ -254,11 +356,14 @@ DistanceOracle::settleAll(std::span<const DijkstraSeed> seeds,
                    "seed distances span more buckets than the ring");
         seed(s.node, s.dist, s.obs, s.hops);
     }
-    run(kInfDist, [&](uint32_t u, const Label &label) {
-        out[u] = PathCell{static_cast<float>(label.dist), label.obs,
-                          label.hops};
-        return true;
-    });
+    run(
+        kInfDist,
+        [&](uint32_t u, const Label &label) {
+            out[u] = PathCell{static_cast<float>(label.dist), label.obs,
+                              label.hops};
+            return true;
+        },
+        [](uint32_t, double) { return true; });
     reset();
 }
 

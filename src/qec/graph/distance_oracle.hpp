@@ -13,7 +13,7 @@
  *  - DistanceView gathers S×S blocks with grow() when the table was
  *    built with DeferPairs;
  *  - the sparse matcher discovers its candidate pairs with grow()'s
- *    per-target stop radii.
+ *    per-target stop radii and the landmark hull.
  *
  * Because dense cells and on-demand cells come out of the same
  * relax loop, they agree bit for bit by construction.
@@ -58,6 +58,40 @@
  * target beyond its radius comes back either exactly (settled
  * with the bucket) or as {inf, 0, 255}.
  *
+ * Landmark hull: an oracle bound with a DeferPairs table's landmark
+ * rows (PathTable::landmarkRows) also prunes the relaxations of a
+ * grow() that has radii. Let L_l(v) be landmark l's column and r_t
+ * the radius of target t. A relaxation that would improve node w to
+ * distance dw is dropped unless, for all 16 landmarks,
+ *     L_l(w) - dw >= lo_l = min_t (L_l(t) - r_t)   and
+ *     L_l(w) + dw <= hi_l = max_t (L_l(t) + r_t),
+ * over the targets not yet settled; the hull (lo, hi) is recomputed
+ * whenever a target settles, so it only narrows. Soundness: if w
+ * lies on a shortest path to a target t whose distance D is within
+ * r_t, then dw = d(src, w) and d(w, t) = D - dw, and the triangle
+ * inequality |L_l(w) - L_l(t)| <= d(w, t) <= r_t - dw gives both
+ * inequalities for t, hence for the hull. Every tied predecessor of
+ * such a node (file comment, tie rule) lies on such a path too. So
+ * every node that decides a within-radius target's label, its tie
+ * choices included, is relaxed exactly as without the hull, and the
+ * target's cell is bit-identical. Nodes off those paths may keep a
+ * larger label than their true distance, so a target that settles
+ * beyond its radius may be inexact; a pruned grow() reports every
+ * such target as {inf, 0, 255}, which the contract above allows.
+ * Margin: the columns are float narrowings of double path sums and
+ * the test runs in float. Narrowing L_l(w), L_l(t), dw, the radius
+ * test and the hull bounds, plus the float add, move each side by
+ * less than 7 · 2^-24 · H, with H = max_t (L_l(t) + r_t) over the
+ * finite columns; the hull is widened by kHullSlack · H = 4e-6 · H
+ * on both sides, nearly ten times that (without any widening,
+ * targets exactly at their radius do go missing). Infinite cells
+ * need no margin: a landmark that reaches w but no unsettled target
+ * (lo_l = +inf), or every unsettled target but not w
+ * (L_l(w) = +inf against a finite hi_l), proves w lies in another
+ * component and prunes it; one that reaches neither passes. A
+ * grow() with an infinite radius or without radii, and any grow()
+ * of an oracle bound without landmarks, relax every edge.
+ *
  * Memory contract: labels are reset through a touched list after
  * each run and the bucket lists are preallocated at bind(), so a
  * warm oracle performs zero heap allocations per query (the
@@ -93,8 +127,11 @@ class DistanceOracle
   public:
     /** Bind to a graph, sizing the scratch and deriving the bucket
      *  width and ring from its edge weights; cheap when already
-     *  bound to the same graph. */
-    void bind(const DecodingGraph &graph);
+     *  bound to the same graph and rows. `landmarks` are a DeferPairs
+     *  table's PathTable::landmarkRows() over the same graph, which
+     *  turn on the landmark hull (file comment), or empty. */
+    void bind(const DecodingGraph &graph,
+              std::span<const float> landmarks = {});
 
     /**
      * Single-source growth from `src`: fills out[k] with the
@@ -127,6 +164,9 @@ class DistanceOracle
      */
     void settleAll(std::span<const DijkstraSeed> seeds, PathCell *out);
 
+    /** Nodes settled by every run since the oracle was constructed. */
+    uint64_t settledNodes() const { return settled_; }
+
   private:
     /** Per-detector search state (16 bytes, one load per relax). */
     struct Label
@@ -142,9 +182,12 @@ class DistanceOracle
     uint32_t headOf(uint64_t bucket) const;
     void link(uint32_t node);
     void unlink(uint32_t node);
-    template <typename Settle>
-    void run(const double &stopAt, Settle settle);
+    template <typename Settle, typename Admit>
+    void run(const double &stopAt, Settle settle, Admit admit);
     void reset();
+    void buildHull(std::span<const uint32_t> targets,
+                   std::span<const double> radii);
+    bool inHull(uint32_t node, double dist) const;
 
     const DecodingGraph *graph_ = nullptr;
     uint32_t n_ = 0;
@@ -161,6 +204,9 @@ class DistanceOracle
     uint32_t touchedSize_ = 0;
     std::vector<uint32_t> targetSlot_; //!< Slot into out, or kNoSlot.
     std::vector<uint32_t> byRadius_;   //!< Slots, radius descending.
+    uint64_t settled_ = 0;
+    const float *landmarks_ = nullptr; //!< Bound rows, or none.
+    std::vector<float> hull_; //!< lo_l then hi_l, widened (file comment).
 };
 
 } // namespace qec

@@ -80,19 +80,23 @@ PathTable::buildLandmarks(const DecodingGraph &graph)
     // Farthest-point selection: each landmark is the detector
     // farthest from all earlier ones (an unreachable one first, so
     // every component gets a column), starting from detector 0.
-    landmarks_ = std::min<uint32_t>(kLandmarks, n);
-    landmarkDist_.assign(static_cast<size_t>(n) * landmarks_, kInf);
+    // Once every detector is a landmark the pick repeats one, which
+    // leaves the bound unchanged and keeps the row width fixed.
+    if (n == 0) {
+        return;
+    }
+    landmarkDist_.assign(static_cast<size_t>(n) * kLandmarks, kInf);
     std::vector<float> nearest(n, kInf);
     std::vector<PathCell> column(n);
     DistanceOracle oracle;
     oracle.bind(graph);
     uint32_t next = 0;
-    for (uint32_t l = 0; l < landmarks_; ++l) {
+    for (uint32_t l = 0; l < kLandmarks; ++l) {
         std::fill(column.begin(), column.end(), PathCell{kInf, 0, 255});
         const DijkstraSeed seed{next, 0.0, 0, 0};
         oracle.settleAll({&seed, 1}, column.data());
         for (uint32_t v = 0; v < n; ++v) {
-            landmarkDist_[static_cast<size_t>(v) * landmarks_ + l] =
+            landmarkDist_[static_cast<size_t>(v) * kLandmarks + l] =
                 column[v].dist;
             nearest[v] = std::min(nearest[v], column[v].dist);
         }
@@ -105,12 +109,15 @@ PathTable::buildLandmarks(const DecodingGraph &graph)
 double
 PathTable::pairLowerBound(uint32_t a, uint32_t b) const
 {
+    if (landmarkDist_.empty()) {
+        return 0.0;
+    }
     const float *la = landmarkDist_.data() +
-                      static_cast<size_t>(a) * landmarks_;
+                      static_cast<size_t>(a) * kLandmarks;
     const float *lb = landmarkDist_.data() +
-                      static_cast<size_t>(b) * landmarks_;
+                      static_cast<size_t>(b) * kLandmarks;
     double bound = 0.0;
-    for (uint32_t l = 0; l < landmarks_; ++l) {
+    for (uint32_t l = 0; l < kLandmarks; ++l) {
         const double da = la[l];
         const double db = lb[l];
         if (da == kInf || db == kInf) {

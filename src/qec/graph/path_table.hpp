@@ -33,7 +33,7 @@
  * O(V) data: the boundary column and kLandmarks farthest-point
  * landmark columns (distance from each of 16 detectors to every
  * detector, picked greedily so each is farthest from the ones before
- * it). Pair distances are then computed on demand by the same
+ * it; a graph of fewer detectors repeats some). Pair distances are then computed on demand by the same
  * engine (DistanceView, the sparse matcher), and the pair-cell
  * accessors assert. pairsAvailable() tells the two modes apart.
  *
@@ -49,6 +49,7 @@
 #define QEC_GRAPH_PATH_TABLE_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
@@ -151,9 +152,16 @@ class PathTable
                landmarkDist_.size() * sizeof(float);
     }
 
-    /** Landmark columns a DeferPairs table holds (fewer only when the
-     *  graph has fewer detectors). */
+    /** Landmark columns a DeferPairs table holds (on a graph with
+     *  fewer detectors some landmarks repeat). */
     static constexpr uint32_t kLandmarks = 16;
+
+    /** The landmark columns as rows: kLandmarks floats per detector,
+     *  row-major (n x kLandmarks); empty on a dense table. */
+    std::span<const float> landmarkRows() const
+    {
+        return landmarkDist_;
+    }
 
     /**
      * Admissible lower bound on the float cell dist(a, b) from the
@@ -180,8 +188,7 @@ class PathTable
     uint32_t n = 0;
     std::vector<PathCell> cells;    //!< n x n interleaved pairs.
     std::vector<PathCell> boundary; //!< Per-detector boundary column.
-    uint32_t landmarks_ = 0;        //!< Columns in landmarkDist_.
-    std::vector<float> landmarkDist_; //!< n x landmarks_, row-major.
+    std::vector<float> landmarkDist_; //!< n x kLandmarks, row-major.
 };
 
 } // namespace qec

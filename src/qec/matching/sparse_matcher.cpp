@@ -69,8 +69,9 @@ SparseMatchingProblem::build(const PathTable &paths,
     // unsettled at its radius, fails keepCandidate on its dense cell
     // too, and a cell reported past its radius is exact and fails it
     // as well, so both backends produce the identical candidate set
-    // (oracle cells are bit-identical to table cells).
-    oracle_.bind(paths.graph());
+    // (oracle cells are bit-identical to table cells). The table's
+    // landmark rows turn on the oracle's landmark hull.
+    oracle_.bind(paths.graph(), paths.landmarkRows());
     rt::resizeTo(rowScratch_, static_cast<size_t>(n_));
     for (int i = 0; i < n_; ++i) {
         rt::pushBack(offsets_,

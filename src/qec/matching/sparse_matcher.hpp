@@ -25,7 +25,7 @@
  * any exact solver).
  *
  * The deferred backend drops such pairs without computing d(i, j)
- * in two ways. First, before any search, PathTable::pairLowerBound
+ * in three ways. First, before any search, PathTable::pairLowerBound
  * — the landmark bound max_L |dL(i) - dL(j)|, less a relative
  * margin of 1e-6 (dL(i) + dL(j)) that covers the float narrowing of
  * the two landmark cells and of the pair cell itself — proves
@@ -37,10 +37,15 @@
  * provably prunable. A target past its radius may instead come
  * back exact, settled with its bucket; keepCandidate drops it just
  * the same, so the candidate set does not depend on where the
- * search stopped. Both tests compare
+ * search stopped. Third, the oracle is bound with the table's
+ * landmark rows, and its landmark hull (distance_oracle.hpp) skips
+ * every relaxation that cannot lie on a shortest path to an
+ * unsettled target within its radius, so a target within its
+ * radius keeps its exact cell and one beyond it comes back
+ * infinite. The first two tests compare
  * the same double sum of the two float boundary cells that the
  * dense backend compares its table cell against. When boundary
- * distances are infinite neither test drops a reachable pair and
+ * distances are infinite no test drops a reachable pair and
  * the growth runs to exhaustion — the matcher degrades to exact
  * dense behavior.
  *
@@ -121,6 +126,9 @@ class SparseMatchingProblem
     /** Error-chain lengths (hops) of each matched pair/boundary. */
     void chainLengthsInto(const MatchingSolution &solution,
                           std::vector<int> &out) const;
+
+    /** Nodes the deferred backend's growths have settled so far. */
+    uint64_t settledNodes() const { return oracle_.settledNodes(); }
 
   private:
     int n_ = 0;

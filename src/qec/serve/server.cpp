@@ -12,7 +12,10 @@
 namespace qec
 {
 
-struct DecodeServer::Worker
+// Cache-line aligned: each worker writes its own counters and
+// health atomics on every request, so its object must not share a
+// line with the next worker's, whatever the object's size.
+struct alignas(64) DecodeServer::Worker
 {
     Worker(const Decoder &prototype, int detectorsPerRound,
            const StreamingConfig &streaming, int index)

@@ -4,8 +4,9 @@
  * ascending pair rows the subgraph build relies on, a
  * Floyd-Warshall cross-check of the Dijkstra all-pairs distances,
  * the DistanceOracle contract on deferred tables, a textbook
- * Dijkstra cross-check of the bucket queue's tie rule, and
- * admissibility of the landmark lower bound.
+ * Dijkstra cross-check of the bucket queue's tie rule and of the
+ * landmark hull on disconnected graphs, and admissibility of the
+ * landmark lower bound.
  */
 
 #include <gtest/gtest.h>
@@ -238,14 +239,17 @@ TEST(DistanceOracle, GrowMatchesDenseTableUnderPerTargetRadii)
     // On a DeferPairs table every finite cell grow() returns is the
     // dense table's cell bit for bit, and every target it leaves
     // infinite lies strictly beyond its radius in the dense table.
-    for (int d : {5, 7, 11}) {
+    // The oracle holds the table's landmark rows, so every trial
+    // with radii runs under the landmark hull; targets exactly at
+    // their radius test the hull's float margin.
+    for (int d : {5, 7, 11, 13}) {
         const auto &ctx = ExperimentContext::get(d, 1e-3);
         const PathTable &dense = ctx.paths();
         const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
         ASSERT_FALSE(deferred.pairsAvailable());
         const uint32_t n = ctx.graph().numDetectors();
         DistanceOracle oracle;
-        oracle.bind(deferred.graph());
+        oracle.bind(deferred.graph(), deferred.landmarkRows());
         Rng rng(0x0dac + static_cast<uint64_t>(d));
         std::vector<uint8_t> picked(n, 0);
         int finite = 0;
@@ -500,6 +504,102 @@ TEST(DistanceOracle, MatchesReferenceDijkstraOnTieHeavyDems)
     EXPECT_GT(grownCells, 10000u);
     // The per-bucket stop does report some targets past their radius.
     EXPECT_GT(beyondReported, 0u);
+}
+
+TEST(DistanceOracle, LandmarkHullIsExactOnDisconnectedDems)
+{
+    // Random DEMs of 2-4 disjoint blocks, so landmark columns hold
+    // +inf cells. grow() under the landmark hull must still match
+    // the textbook Dijkstra on every target within its radius. A
+    // landmark that reaches neither w nor the targets must not
+    // prune (or in-block targets would go missing), and one that
+    // reaches w but no target must: a growth whose targets all lie
+    // outside the source's block settles the source alone.
+    const std::vector<std::vector<double>> probSets = {
+        {0.1}, {0.1, 0.01}, {0.05, 0.2, 0.3}, {1e-9, 0.49}};
+    Rng rng(0xd15c);
+    size_t grownCells = 0;
+    size_t isolatedGrowths = 0;
+    for (int model = 0; model < 120; ++model) {
+        const std::vector<double> &probs = probSets[model % 4];
+        const uint32_t blocks = 2 + static_cast<uint32_t>(model % 3);
+        GraphlikeDem dem;
+        dem.numObservables = 3;
+        std::vector<uint32_t> blockOf;
+        for (uint32_t b = 0; b < blocks; ++b) {
+            const uint32_t size =
+                2 + static_cast<uint32_t>(rng.next64() % 20);
+            const GraphlikeDem part = tieHeavyDem(rng, size, probs);
+            for (DemEdge edge : part.edges) {
+                edge.u += dem.numDetectors;
+                if (edge.v != kBoundary) {
+                    edge.v += dem.numDetectors;
+                }
+                dem.edges.push_back(edge);
+            }
+            blockOf.insert(blockOf.end(), size, b);
+            dem.numDetectors += size;
+        }
+        const uint32_t n = dem.numDetectors;
+        const DecodingGraph graph = DecodingGraph::fromDem(dem);
+        const PathTable deferred(graph, PathTable::DeferPairs{});
+        const std::string where = "model " + std::to_string(model);
+
+        DistanceOracle oracle;
+        oracle.bind(graph, deferred.landmarkRows());
+        for (int trial = 0; trial < 12; ++trial) {
+            const uint32_t src =
+                static_cast<uint32_t>(rng.next64() % n);
+            const std::vector<PathCell> ref =
+                referenceDijkstra(graph, {{src, 0.0, 0, 0}});
+            // Odd trials target only the other blocks.
+            const bool elsewhere = trial % 2 == 1;
+            std::vector<uint32_t> targets;
+            std::vector<double> radii;
+            for (uint32_t v = 0; v < n; ++v) {
+                if ((elsewhere && blockOf[v] == blockOf[src]) ||
+                    rng.next64() % 2 != 0) {
+                    continue;
+                }
+                targets.push_back(v);
+                const double exact = ref[v].dist;
+                radii.push_back(std::isfinite(exact)
+                                    ? exact * (0.5 + rng.nextDouble())
+                                    : 1e3 * rng.nextDouble());
+            }
+            if (targets.empty()) {
+                continue;
+            }
+            std::vector<PathCell> out(targets.size());
+            const uint64_t before = oracle.settledNodes();
+            oracle.grow(src, targets, radii, out.data());
+            if (elsewhere) {
+                ++isolatedGrowths;
+                EXPECT_EQ(oracle.settledNodes() - before, 1u)
+                    << where << " src " << src;
+            }
+            for (size_t k = 0; k < targets.size(); ++k) {
+                const PathCell &want = ref[targets[k]];
+                const std::string at = where + " src " +
+                                       std::to_string(src) + " target " +
+                                       std::to_string(targets[k]);
+                if (std::isfinite(out[k].dist)) {
+                    ++grownCells;
+                    ASSERT_EQ(out[k].dist, want.dist) << at;
+                    ASSERT_EQ(out[k].obs, want.obs) << at;
+                    ASSERT_EQ(out[k].hops, want.hops) << at;
+                } else {
+                    ASSERT_FALSE(std::isfinite(want.dist) &&
+                                 want.dist <= radii[k])
+                        << at << ": within its radius, not reported";
+                    ASSERT_EQ(out[k].obs, 0) << at;
+                    ASSERT_EQ(out[k].hops, 255) << at;
+                }
+            }
+        }
+    }
+    EXPECT_GT(grownCells, 1000u);
+    EXPECT_GT(isolatedGrowths, 100u);
 }
 
 TEST(PathTable, LandmarkBoundIsAdmissible)

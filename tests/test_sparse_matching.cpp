@@ -15,6 +15,9 @@
  *    predicted observables, on uniform-rate and importance-sampled
  *    syndromes at d in {5, 7, 11, 13} (the latter where the
  *    landmark bound prunes pairs before any search);
+ *  - the landmark hull of the deferred build's growths settles at
+ *    most half the nodes of a hull-free oracle on importance-sampled
+ *    syndromes at d in {11, 13}, with identical candidates;
  *  - the deferred DistanceView gather (the path Promatch Step 3
  *    takes at d = 21) is a bit-copy of the dense table at
  *    d in {7, 11};
@@ -34,6 +37,7 @@
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/graph/decoding_graph.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/distance_view.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
@@ -338,6 +342,87 @@ TEST(SparseMatch, DeferredBackendBitIdenticalToTableBackend)
             EXPECT_GT(pruned, 0)
                 << "d=" << d << ": the landmark bound never fired";
         }
+    }
+}
+
+TEST(DistanceOracle, LandmarkHullSettlesFewerNodes)
+{
+    // The deferred build's oracle is bound with the table's landmark
+    // rows, so its growths prune with the landmark hull. Mirror each
+    // build's growths on an oracle bound without landmarks: the
+    // candidates must be identical, and the hull must settle at most
+    // half as many nodes. Settled nodes are a count, so host load
+    // cannot move this check.
+    for (int d : {11, 13}) {
+        const auto &ctx = ExperimentContext::get(d, 1e-3);
+        const PathTable deferred(ctx.graph(),
+                                 PathTable::DeferPairs{});
+        ImportanceSampler sampler(ctx.dem(), 12);
+        SparseMatchingProblem problem;
+        DistanceOracle plain;
+        plain.bind(ctx.graph());
+        std::vector<uint32_t> targets;
+        std::vector<double> radii;
+        std::vector<int> locals;
+        std::vector<PathCell> cells;
+        for (int k = 3; k <= 12; ++k) {
+            for (int i = 0; i < 8; ++i) {
+                Rng sampleRng = Rng::forSample(0x4a11 + d, k, i);
+                const auto sample = sampler.sample(k, sampleRng);
+                const std::vector<uint32_t> &defects = sample.defects;
+                const std::string label = "d=" + std::to_string(d) +
+                                          " k=" + std::to_string(k) +
+                                          " sample " +
+                                          std::to_string(i);
+                problem.build(deferred, defects);
+                for (int a = 0; a < problem.size(); ++a) {
+                    const double ba = deferred.distToBoundary(defects[a]);
+                    targets.clear();
+                    radii.clear();
+                    locals.clear();
+                    for (int b = a + 1; b < problem.size(); ++b) {
+                        const double radius =
+                            ba + deferred.distToBoundary(defects[b]);
+                        if (deferred.pairLowerBound(defects[a],
+                                                    defects[b]) <
+                            radius) {
+                            targets.push_back(defects[b]);
+                            radii.push_back(radius);
+                            locals.push_back(b);
+                        }
+                    }
+                    std::vector<SparseCandidate> want;
+                    if (!targets.empty()) {
+                        cells.resize(targets.size());
+                        plain.grow(defects[a], targets, radii,
+                                   cells.data());
+                        for (size_t t = 0; t < targets.size(); ++t) {
+                            if (static_cast<double>(cells[t].dist) <
+                                radii[t]) {
+                                want.push_back({locals[t], cells[t]});
+                            }
+                        }
+                    }
+                    const auto got = problem.candidates(a);
+                    ASSERT_EQ(got.size(), want.size())
+                        << label << " defect " << a;
+                    for (size_t c = 0; c < want.size(); ++c) {
+                        EXPECT_EQ(got[c].j, want[c].j) << label;
+                        EXPECT_EQ(got[c].cell.dist, want[c].cell.dist)
+                            << label;
+                        EXPECT_EQ(got[c].cell.obs, want[c].cell.obs)
+                            << label;
+                        EXPECT_EQ(got[c].cell.hops, want[c].cell.hops)
+                            << label;
+                    }
+                }
+            }
+        }
+        EXPECT_GT(plain.settledNodes(), 0u) << "d=" << d;
+        EXPECT_LE(problem.settledNodes(), plain.settledNodes() / 2)
+            << "d=" << d << ": the hull settled "
+            << problem.settledNodes() << " nodes against "
+            << plain.settledNodes() << " without it";
     }
 }
 
