@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "qec/util/assert.hpp"
 
@@ -53,6 +55,8 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
     }
 
     graph.boundaryEdgeOf.assign(dem.numDetectors, -1);
+    double wMin = std::numeric_limits<double>::infinity();
+    double wMax = 0.0;
     for (const auto &[key, variant] : merged) {
         if (variant.variants > 1) {
             graph.obsConflicts_ += variant.variants - 1;
@@ -62,13 +66,27 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
         edge.u = key.first;
         edge.v = key.second;
         edge.prob = variant.prob;
+        if (!(variant.prob > 0.0 && variant.prob < 0.5)) {
+            throw DemError("edge probability " +
+                           std::to_string(variant.prob) +
+                           " is outside (0, 0.5)");
+        }
         edge.weight = probToWeight(variant.prob);
+        wMin = std::min(wMin, edge.weight);
+        wMax = std::max(wMax, edge.weight);
         edge.obsMask = variant.obsMask;
         graph.edges_.push_back(edge);
         if (edge.v == kBoundary) {
             graph.boundaryEdgeOf[edge.u] =
                 static_cast<int>(edge.id);
         }
+    }
+
+    if (wMax > kMaxWeightRatio * wMin) {
+        throw DemError("edge weights span " + std::to_string(wMin) +
+                       " to " + std::to_string(wMax) +
+                       ", a ratio above " +
+                       std::to_string(kMaxWeightRatio));
     }
 
     // SoA hot fields: bit-copies of the AoS (weight narrowed to

@@ -70,11 +70,21 @@ static_assert(sizeof(WeightedHalfEdge) == 16,
 class DecodingGraph
 {
   public:
+    /** Largest w_max / w_min fromDem accepts. DistanceOracle's
+     *  bucket ring holds about w_max / w_min buckets
+     *  (distance_oracle.hpp), so this caps it at 2^20 heads. */
+    static constexpr double kMaxWeightRatio = 524288.0; // 2^19
+
     /**
      * Build from a graphlike DEM. Parallel edges with different
      * observable masks are merged into the most probable variant
      * (with XOR-combined probability); the number of such conflicts
      * is reported by obsConflicts().
+     *
+     * Throws DemError when a merged edge probability lies outside
+     * (0, 0.5), or when the edge weights span a ratio w_max / w_min
+     * above kMaxWeightRatio (an edge probability within ~1e-5 of
+     * 1/2 next to an ordinary one).
      *
      * @param coords optional space-time coordinates per detector
      *               (from MemoryExperiment), used by predecoder

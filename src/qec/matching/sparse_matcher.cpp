@@ -66,11 +66,10 @@ SparseMatchingProblem::build(const PathTable &paths,
     // Sparse backend: one truncated growth per source over the
     // targets j > i the landmark bound cannot rule out, each with
     // radius db(i) + db(j). A pair dropped by the bound, or left
-    // unsettled at its radius, fails keepCandidate on its dense cell
-    // too, and a cell reported past its radius is exact and fails it
-    // as well, so both backends produce the identical candidate set
-    // (oracle cells are bit-identical to table cells). The table's
-    // landmark rows turn on the oracle's landmark hull.
+    // infinite past its radius, fails keepCandidate on its dense
+    // cell too, so both backends produce the identical candidate
+    // set (oracle cells are bit-identical to table cells). The
+    // table's landmark rows direct the oracle's search.
     oracle_.bind(paths.graph(), paths.landmarkRows());
     rt::resizeTo(rowScratch_, static_cast<size_t>(n_));
     for (int i = 0; i < n_; ++i) {

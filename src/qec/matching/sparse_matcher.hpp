@@ -25,29 +25,22 @@
  * any exact solver).
  *
  * The deferred backend drops such pairs without computing d(i, j)
- * in three ways. First, before any search, PathTable::pairLowerBound
+ * in two ways. First, before any search, PathTable::pairLowerBound
  * — the landmark bound max_L |dL(i) - dL(j)|, less a relative
  * margin of 1e-6 (dL(i) + dL(j)) that covers the float narrowing of
  * the two landmark cells and of the pair cell itself — proves
  * d(i, j) >= db(i) + db(j) for most far-apart pairs. Second, each
- * source's growth gives every remaining target j its own stop
- * radius db(i) + db(j), and the search stops before a distance
- * bucket whose least float-narrowed distance passes the largest
- * radius still unsettled, so every target left unsettled is
- * provably prunable. A target past its radius may instead come
- * back exact, settled with its bucket; keepCandidate drops it just
- * the same, so the candidate set does not depend on where the
- * search stopped. Third, the oracle is bound with the table's
- * landmark rows, and its landmark hull (distance_oracle.hpp) skips
- * every relaxation that cannot lie on a shortest path to an
- * unsettled target within its radius, so a target within its
- * radius keeps its exact cell and one beyond it comes back
- * infinite. The first two tests compare
- * the same double sum of the two float boundary cells that the
- * dense backend compares its table cell against. When boundary
- * distances are infinite no test drops a reachable pair and
- * the growth runs to exhaustion — the matcher degrades to exact
- * dense behavior.
+ * source's growth gives every remaining target j its own radius
+ * db(i) + db(j), and the oracle, bound with the table's landmark
+ * rows, runs a goal-directed search (distance_oracle.hpp) that
+ * admits only relaxations that can lie on a shortest path to an
+ * unsettled target within its radius: a target within its radius
+ * keeps its exact cell, and one beyond it comes back infinite, so
+ * keepCandidate drops it. Both tests compare the same double sum
+ * of the two float boundary cells that the dense backend compares
+ * its table cell against. When boundary distances are infinite no
+ * test drops a reachable pair and the growth runs to exhaustion —
+ * the matcher degrades to exact dense behavior.
  *
  * Two interchangeable distance backends feed the same build: with a
  * dense PathTable the problem reads table rows on demand (no S×S

@@ -4,9 +4,9 @@
  * ascending pair rows the subgraph build relies on, a
  * Floyd-Warshall cross-check of the Dijkstra all-pairs distances,
  * the DistanceOracle contract on deferred tables, a textbook
- * Dijkstra cross-check of the bucket queue's tie rule and of the
- * landmark hull on disconnected graphs, and admissibility of the
- * landmark lower bound.
+ * Dijkstra cross-check of the tie rule under both of the oracle's
+ * queues and of the goal-directed search on disconnected graphs,
+ * and admissibility of the landmark lower bound.
  */
 
 #include <gtest/gtest.h>
@@ -84,6 +84,36 @@ TEST(DecodingGraph, MergesParallelEdgesKeepingDominantObs)
     EXPECT_NEAR(graph.edges()[0].prob,
                 0.2 * 0.99 + 0.01 * 0.8, 1e-12);
     EXPECT_EQ(graph.obsConflicts(), 1u);
+}
+
+TEST(DecodingGraph, RejectsWeightRangeBeyondTheBucketRingCap)
+{
+    // p = 0.499999999 weighs ~4e-9 next to ~6.9 at p = 1e-3, a ratio
+    // near 2e9: a bucket ring that wide would need 2^31 heads. The
+    // DEM is rejected at construction, with a DemError, not an
+    // allocation failure or an out-of-range cast in the oracle.
+    GraphlikeDem dem;
+    dem.numDetectors = 3;
+    dem.numObservables = 1;
+    dem.edges.push_back({0, 1, 0, 1e-3});
+    dem.edges.push_back({1, 2, 0, 0.499999999});
+    EXPECT_THROW(DecodingGraph::fromDem(dem), DemError);
+    // A boundary edge counts too: the boundary column's seeds
+    // carry its weight into the ring.
+    dem.edges.back() = {1, kBoundary, 0, 0.499999999};
+    EXPECT_THROW(DecodingGraph::fromDem(dem), DemError);
+    // At p >= 1/2 the weight is zero or negative.
+    dem.edges.back() = {1, 2, 0, 0.5};
+    EXPECT_THROW(DecodingGraph::fromDem(dem), DemError);
+
+    // Just inside the cap the graph builds and the oracle binds.
+    const double wMax = probToWeight(1e-3);
+    const double wMin = wMax / (0.99 * DecodingGraph::kMaxWeightRatio);
+    dem.edges.back() = {1, 2, 0, 1.0 / (1.0 + std::exp(wMin))};
+    const DecodingGraph graph = DecodingGraph::fromDem(dem);
+    const PathTable paths(graph);
+    EXPECT_FLOAT_EQ(paths.dist(0, 2),
+                    static_cast<float>(wMax + wMin));
 }
 
 TEST(DecodingGraph, PairRowsAscendAndSplitAtTheDetector)
@@ -240,8 +270,9 @@ TEST(DistanceOracle, GrowMatchesDenseTableUnderPerTargetRadii)
     // dense table's cell bit for bit, and every target it leaves
     // infinite lies strictly beyond its radius in the dense table.
     // The oracle holds the table's landmark rows, so every trial
-    // with radii runs under the landmark hull; targets exactly at
-    // their radius test the hull's float margin.
+    // with radii runs the goal-directed search; targets exactly at
+    // their radius test its float slack, and no target past its
+    // radius may be reported.
     for (int d : {5, 7, 11, 13}) {
         const auto &ctx = ExperimentContext::get(d, 1e-3);
         const PathTable &dense = ctx.paths();
@@ -296,6 +327,11 @@ TEST(DistanceOracle, GrowMatchesDenseTableUnderPerTargetRadii)
                 const PathCell &want = dense.cell(src, targets[k]);
                 if (std::isfinite(out[k].dist)) {
                     ++finite;
+                    if (!gather) {
+                        EXPECT_LE(static_cast<double>(out[k].dist),
+                                  radii[k])
+                            << label;
+                    }
                     EXPECT_EQ(out[k].dist, want.dist) << label;
                     EXPECT_EQ(out[k].obs, want.obs) << label;
                     EXPECT_EQ(out[k].hops, want.hops) << label;
@@ -407,7 +443,10 @@ TEST(DistanceOracle, MatchesReferenceDijkstraOnTieHeavyDems)
     // random radii all match the textbook Dijkstra bit for bit on
     // random DEMs built from a few probabilities, where exact ties
     // are everywhere. {1e-9, 0.49} spans weights 0.04..20.7, a ring
-    // of hundreds of buckets.
+    // of hundreds of buckets. grow() runs twice: on an oracle bound
+    // without landmarks (heap order by distance) and on one bound
+    // with a DeferPairs table's landmark rows, whose goal-directed
+    // keys meet the same exact ties.
     const std::vector<std::vector<double>> probSets = {
         {0.1}, {0.1, 0.01}, {0.05, 0.2, 0.3}, {1e-3, 0.02},
         {1e-9, 0.49}};
@@ -457,8 +496,11 @@ TEST(DistanceOracle, MatchesReferenceDijkstraOnTieHeavyDems)
             ASSERT_EQ(got.hops, boundary[v].hops) << where << " b" << v;
         }
 
-        DistanceOracle oracle;
-        oracle.bind(graph);
+        const PathTable deferred(graph, PathTable::DeferPairs{});
+        DistanceOracle plain;
+        plain.bind(graph);
+        DistanceOracle guided;
+        guided.bind(graph, deferred.landmarkRows());
         for (int trial = 0; trial < 20; ++trial) {
             const uint32_t src =
                 static_cast<uint32_t>(rng.next64() % n);
@@ -477,44 +519,47 @@ TEST(DistanceOracle, MatchesReferenceDijkstraOnTieHeavyDems)
                     : kind == 1 ? std::nextafter(exact, 0.0)
                                 : exact * (0.5 + rng.nextDouble()));
             }
-            std::vector<PathCell> out(targets.size());
-            oracle.grow(src, targets, radii, out.data());
-            for (size_t k = 0; k < targets.size(); ++k) {
-                const PathCell &want = ref[src][targets[k]];
-                const std::string at = where + " src " +
-                                       std::to_string(src) + " target " +
-                                       std::to_string(targets[k]);
-                if (std::isfinite(out[k].dist)) {
-                    ++grownCells;
-                    beyondReported += want.dist > radii[k];
-                    ASSERT_EQ(out[k].dist, want.dist) << at;
-                    ASSERT_EQ(out[k].obs, want.obs) << at;
-                    ASSERT_EQ(out[k].hops, want.hops) << at;
-                } else {
-                    ASSERT_FALSE(std::isfinite(want.dist) &&
-                                 want.dist <= radii[k])
-                        << at << ": within its radius, not reported";
-                    ASSERT_EQ(out[k].obs, 0) << at;
-                    ASSERT_EQ(out[k].hops, 255) << at;
+            for (DistanceOracle *oracle : {&plain, &guided}) {
+                std::vector<PathCell> out(targets.size());
+                oracle->grow(src, targets, radii, out.data());
+                for (size_t k = 0; k < targets.size(); ++k) {
+                    const PathCell &want = ref[src][targets[k]];
+                    const std::string at =
+                        where + (oracle == &plain ? " plain" : "") +
+                        " src " + std::to_string(src) + " target " +
+                        std::to_string(targets[k]);
+                    if (std::isfinite(out[k].dist)) {
+                        ++grownCells;
+                        beyondReported += want.dist > radii[k];
+                        ASSERT_EQ(out[k].dist, want.dist) << at;
+                        ASSERT_EQ(out[k].obs, want.obs) << at;
+                        ASSERT_EQ(out[k].hops, want.hops) << at;
+                    } else {
+                        ASSERT_FALSE(std::isfinite(want.dist) &&
+                                     want.dist <= radii[k])
+                            << at << ": within its radius, not reported";
+                        ASSERT_EQ(out[k].obs, 0) << at;
+                        ASSERT_EQ(out[k].hops, 255) << at;
+                    }
                 }
             }
         }
     }
     EXPECT_GT(denseCells, 100000u);
-    EXPECT_GT(grownCells, 10000u);
-    // The per-bucket stop does report some targets past their radius.
-    EXPECT_GT(beyondReported, 0u);
+    EXPECT_GT(grownCells, 20000u);
+    // A grow() with radii reports no target past its radius.
+    EXPECT_EQ(beyondReported, 0u);
 }
 
 TEST(DistanceOracle, LandmarkHullIsExactOnDisconnectedDems)
 {
     // Random DEMs of 2-4 disjoint blocks, so landmark columns hold
-    // +inf cells. grow() under the landmark hull must still match
-    // the textbook Dijkstra on every target within its radius. A
-    // landmark that reaches neither w nor the targets must not
-    // prune (or in-block targets would go missing), and one that
-    // reaches w but no target must: a growth whose targets all lie
-    // outside the source's block settles the source alone.
+    // +inf cells. The goal-directed grow() must still match the
+    // textbook Dijkstra on every target within its radius. A
+    // landmark that reaches neither w nor a target says nothing (or
+    // in-block targets would go missing), and one that reaches w
+    // but not the target proves them apart: a growth whose targets
+    // all lie outside the source's block settles the source alone.
     const std::vector<std::vector<double>> probSets = {
         {0.1}, {0.1, 0.01}, {0.05, 0.2, 0.3}, {1e-9, 0.49}};
     Rng rng(0xd15c);
