@@ -212,10 +212,46 @@ DistanceOracle::breakTie(Label &to, uint32_t u, const Label &from,
 }
 
 /**
+ * The one relax step of both queues: relaxes the edges of u, just
+ * settled with label `from`, and owns the label update, the touched
+ * list and the tie rule (file comment). enqueue(w, dw, fresh) files
+ * w in the caller's queue after its label improved to dw; `fresh`
+ * says w had no label this run.
+ */
+template <typename Enqueue>
+void
+DistanceOracle::relax(uint32_t u, const Label &from, Enqueue enqueue)
+{
+    const uint8_t hops = from.hops == 255
+                             ? uint8_t{255}
+                             : static_cast<uint8_t>(from.hops + 1);
+    for (const WeightedHalfEdge &half : graph_->weightedNeighbors(u)) {
+        const uint32_t w = half.neighbor;
+        Label &to = label_[w];
+        if (to.settled) {
+            continue;
+        }
+        const double dw = from.dist + half.weight;
+        const uint8_t obs = from.obs ^ half.obs;
+        if (dw < to.dist) {
+            const bool fresh = to.dist == kInfDist;
+            if (fresh) {
+                touched_[touchedSize_++] = w;
+            }
+            to = Label{dw, u, obs, hops, false};
+            enqueue(w, dw, fresh);
+        } else if (dw == to.dist) {
+            breakTie(to, u, from, obs, hops);
+        }
+    }
+}
+
+/**
  * The bucket-queue settle loop of settleAll() and radius-free
  * grow(): empties the buckets in order from cur_, calling
  * settle(u, label) on each node before relaxing its edges; a false
- * return ends the run.
+ * return ends the run. Its labels are final when settled, so it
+ * never needs their settled flag.
  */
 template <typename Settle>
 void
@@ -237,28 +273,14 @@ DistanceOracle::run(Settle settle)
             if (!settle(u, from)) {
                 return;
             }
-            const uint8_t hops =
-                from.hops == 255 ? uint8_t{255}
-                                 : static_cast<uint8_t>(from.hops + 1);
-            for (const WeightedHalfEdge &half :
-                 graph_->weightedNeighbors(u)) {
-                const uint32_t w = half.neighbor;
-                Label &to = label_[w];
-                const double dw = from.dist + half.weight;
-                const uint8_t obs = from.obs ^ half.obs;
-                if (dw < to.dist) {
-                    if (to.dist == kInfDist) {
-                        touched_[touchedSize_++] = w;
-                        ++queued_;
-                    } else {
-                        unlink(w);
-                    }
-                    to = Label{dw, u, obs, hops, false};
-                    link(w);
-                } else if (dw == to.dist) {
-                    breakTie(to, u, from, obs, hops);
+            relax(u, from, [this](uint32_t w, double, bool fresh) {
+                if (fresh) {
+                    ++queued_;
+                } else {
+                    unlink(w);
                 }
-            }
+                link(w);
+            });
         } while (next_[head] != head);
     }
 }
@@ -400,16 +422,31 @@ void
 DistanceOracle::search(uint32_t src, std::span<const uint32_t> targets,
                        std::span<const double> radii, PathCell *out)
 {
-    live_ = static_cast<uint32_t>(targets.size());
-    for (uint32_t k = 0; k < live_; ++k) {
-        const double radius = radii[k];
-        goals_[k] = Goal{
+    // Admission at the source, at distance zero: a target whose
+    // landmark bound already exceeds its radius is dropped before
+    // seeding (and unmarked, so settling it on the way is harmless);
+    // a growth left without targets settles nothing.
+    const Row origin = landmarks_ != nullptr
+                           ? loadRow(landmarks_ + size_t{src} * kLandmarks)
+                           : Row{};
+    live_ = 0;
+    for (uint32_t k = 0; k < targets.size(); ++k) {
+        const float *row =
             landmarks_ != nullptr
                 ? landmarks_ + size_t{targets[k]} * kLandmarks
-                : nullptr,
+                : nullptr;
+        const double radius = radii[k];
+        const double bound =
             std::min(radius + kFloatSlack * radius + slack_,
-                     std::numeric_limits<double>::max()),
-            k};
+                     std::numeric_limits<double>::max());
+        if (row != nullptr && landmarkGap(origin, row) > bound) {
+            targetSlot_[targets[k]] = kNoSlot;
+            continue;
+        }
+        goals_[live_++] = Goal{row, bound, k};
+    }
+    if (live_ == 0) {
+        return;
     }
     label_[src] = Label{0.0, kSeed, 0, 0, false};
     touched_[touchedSize_++] = src;
@@ -437,40 +474,19 @@ DistanceOracle::search(uint32_t src, std::span<const uint32_t> targets,
             }
             rekey();
         }
-        const uint8_t hops =
-            from.hops == 255 ? uint8_t{255}
-                             : static_cast<uint8_t>(from.hops + 1);
-        for (const WeightedHalfEdge &half :
-             graph_->weightedNeighbors(u)) {
-            const uint32_t w = half.neighbor;
-            Label &to = label_[w];
-            if (to.settled) {
-                continue;
+        // A queued node stays admitted at a smaller distance, and its
+        // h is current since the last re-key; a rejected one keeps its
+        // label off the heap (file comment, "Admission").
+        relax(u, from, [this](uint32_t w, double dw, bool) {
+            const uint32_t pos = heapPos_[w];
+            float h;
+            if (pos != kOffHeap) {
+                h = heap_[pos].h;
+                siftUp(pos, HeapEntry{dw + keyScale_ * h, w, h});
+            } else if (admit(w, dw, h)) {
+                siftUp(heapSize_++, HeapEntry{dw + keyScale_ * h, w, h});
             }
-            const double dw = from.dist + half.weight;
-            const uint8_t obs = from.obs ^ half.obs;
-            if (dw < to.dist) {
-                if (to.dist == kInfDist) {
-                    touched_[touchedSize_++] = w;
-                }
-                to = Label{dw, u, obs, hops, false};
-                // A queued node stays admitted at a smaller distance,
-                // and its h is current since the last re-key; a
-                // rejected one keeps its label off the heap (file
-                // comment, "Admission").
-                const uint32_t pos = heapPos_[w];
-                float h;
-                if (pos != kOffHeap) {
-                    h = heap_[pos].h;
-                    siftUp(pos, HeapEntry{dw + keyScale_ * h, w, h});
-                } else if (admit(w, dw, h)) {
-                    siftUp(heapSize_++,
-                           HeapEntry{dw + keyScale_ * h, w, h});
-                }
-            } else if (dw == to.dist) {
-                breakTie(to, u, from, obs, hops);
-            }
-        }
+        });
     }
 }
 

@@ -15,8 +15,10 @@
  *  - the sparse matcher discovers its candidate pairs with grow()'s
  *    per-target radii, goal-directed by the table's landmarks.
  *
- * Because dense cells and on-demand cells come out of the same
- * relax loop, they agree bit for bit by construction.
+ * Dense cells and on-demand cells agree bit for bit by
+ * construction: both queues below relax edges through one step,
+ * relax(), which owns the label update, the touched list and the
+ * tie rule; a queue only files the node whose label improved.
  *
  * Labels: distances accumulate in double along the path (the double
  * GraphEdge weights, inlined in the CSR) and are narrowed to float
@@ -27,7 +29,10 @@
  * bucket queue; a grow() with radii runs a goal-directed search
  * (A* with landmark lower bounds, "ALT": Goldberg & Harrelson, SODA
  * 2005) over an indexed 4-ary heap. The caller picks the queue by
- * passing radii or not.
+ * passing radii or not. Merging them measured slower on a 4-vCPU
+ * host: a heap-only settleAll() took 2.2x longer on the d=13
+ * dense table build, and gathers run as ALT with infinite radii
+ * took 2.8x to 5.9x longer at d=17 (ROADMAP item 12).
  *
  * Bucket order: Dial's bucket queue (CACM 12(11), 1969). Bucket b
  * holds the unsettled labelled nodes whose double distance d has
@@ -74,10 +79,14 @@
  *    where bound_t = r_t + kFloatSlack·(M + r_t), M is the largest
  *    finite landmark cell and kFloatSlack = 4e-6 (capped at the
  *    largest double, so an infinite radius admits only nodes with a
- *    finite LB). The source is seeded unconditionally. A rejected
- *    relaxation still records its label, off the heap: admission
- *    only gets harder as dw grows and targets settle, so a later
- *    relaxation that does not improve on it needs no test.
+ *    finite LB). Before seeding, each target is tested at the
+ *    source (dw = 0): one with LB(src, t) > bound_t is dropped
+ *    and reported infinite, and a growth left without targets
+ *    settles no node; the sparse matcher relies on this to skip
+ *    far-apart pairs. The source is then seeded unconditionally.
+ *    A rejected relaxation still records its label, off the heap:
+ *    admission only gets harder as dw grows and targets settle, so
+ *    a later relaxation that does not improve on it needs no test.
  *  - Re-keying: when a target settles, h only grows. Every queued
  *    node is re-checked against the remaining targets: one no
  *    longer admitted is dropped (it keeps its label, and a later
@@ -228,6 +237,8 @@ class DistanceOracle
     uint32_t headOf(uint64_t bucket) const;
     void link(uint32_t node);
     void unlink(uint32_t node);
+    template <typename Enqueue>
+    void relax(uint32_t u, const Label &from, Enqueue enqueue);
     template <typename Settle>
     void run(Settle settle);
     void breakTie(Label &to, uint32_t u, const Label &from, uint8_t obs,

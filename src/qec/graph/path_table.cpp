@@ -1,7 +1,6 @@
 #include "qec/graph/path_table.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "qec/graph/distance_oracle.hpp"
@@ -14,13 +13,6 @@ namespace
 {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/** Relative slack of the landmark bound. Each stored column value is
- *  a float narrowing of a double path sum, off by < 2^-24 relative
- *  (~6e-8); the bound's two columns, the pair cell's own narrowing
- *  and the triangle d(a, b) <= dL(a) + dL(b) keep the total error
- *  below ~2e-7 (dL(a) + dL(b)), so 1e-6 covers it several times. */
-constexpr double kLandmarkSlack = 1e-6;
 
 } // namespace
 
@@ -104,34 +96,6 @@ PathTable::buildLandmarks(const DecodingGraph &graph)
             std::max_element(nearest.begin(), nearest.end()) -
             nearest.begin());
     }
-}
-
-double
-PathTable::pairLowerBound(uint32_t a, uint32_t b) const
-{
-    if (landmarkDist_.empty()) {
-        return 0.0;
-    }
-    const float *la = landmarkDist_.data() +
-                      static_cast<size_t>(a) * kLandmarks;
-    const float *lb = landmarkDist_.data() +
-                      static_cast<size_t>(b) * kLandmarks;
-    double bound = 0.0;
-    for (uint32_t l = 0; l < kLandmarks; ++l) {
-        const double da = la[l];
-        const double db = lb[l];
-        if (da == kInf || db == kInf) {
-            if (da != db) {
-                // The landmark reaches one endpoint only, so a and b
-                // lie in different components.
-                return std::numeric_limits<double>::infinity();
-            }
-            continue;
-        }
-        bound = std::max(bound, std::abs(da - db) -
-                                    kLandmarkSlack * (da + db));
-    }
-    return bound;
 }
 
 bool

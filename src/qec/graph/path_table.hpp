@@ -33,16 +33,12 @@
  * O(V) data: the boundary column and kLandmarks farthest-point
  * landmark columns (distance from each of 16 detectors to every
  * detector, picked greedily so each is farthest from the ones before
- * it; a graph of fewer detectors repeats some). Pair distances are then computed on demand by the same
- * engine (DistanceView, the sparse matcher), and the pair-cell
- * accessors assert. pairsAvailable() tells the two modes apart.
- *
- * Landmark bound: by the triangle inequality,
- * d(a, b) >= |dL(a) - dL(b)| for every landmark L. pairLowerBound()
- * returns the largest such difference minus a relative slack that
- * covers the float narrowing of the three distances involved, so it
- * never exceeds the float cell the dense table would hold for (a, b).
- * The sparse matcher uses it to drop pairs before searching.
+ * it; a graph of fewer detectors repeats some). Pair distances are
+ * then computed on demand by the same engine (DistanceView, the
+ * sparse matcher), whose goal-directed search takes its lower
+ * bounds from the landmark columns (distance_oracle.hpp), and the
+ * pair-cell accessors assert. pairsAvailable() tells the two modes
+ * apart.
  */
 
 #ifndef QEC_GRAPH_PATH_TABLE_HPP
@@ -162,14 +158,6 @@ class PathTable
     {
         return landmarkDist_;
     }
-
-    /**
-     * Admissible lower bound on the float cell dist(a, b) from the
-     * landmark columns (file comment); +inf when a and b provably
-     * lie in different components, 0 on a dense table (which holds
-     * no landmarks).
-     */
-    double pairLowerBound(uint32_t a, uint32_t b) const;
 
   private:
     size_t index(uint32_t a, uint32_t b) const

@@ -64,39 +64,28 @@ SparseMatchingProblem::build(const PathTable &paths,
     }
 
     // Sparse backend: one truncated growth per source over the
-    // targets j > i the landmark bound cannot rule out, each with
-    // radius db(i) + db(j). A pair dropped by the bound, or left
-    // infinite past its radius, fails keepCandidate on its dense
-    // cell too, so both backends produce the identical candidate
-    // set (oracle cells are bit-identical to table cells). The
-    // table's landmark rows direct the oracle's search.
+    // targets j > i, each with radius db(i) + db(j). A target the
+    // growth leaves infinite past its radius (or drops at the source
+    // by the landmark bound) fails keepCandidate on its dense cell
+    // too, so both backends produce the identical candidate set
+    // (oracle cells are bit-identical to table cells). The table's
+    // landmark rows direct the oracle's search.
     oracle_.bind(paths.graph(), paths.landmarkRows());
+    rt::resizeTo(growRadii_, static_cast<size_t>(n_));
     rt::resizeTo(rowScratch_, static_cast<size_t>(n_));
     for (int i = 0; i < n_; ++i) {
         rt::pushBack(offsets_,
                      static_cast<int32_t>(cands_.size()));
+        const size_t count = static_cast<size_t>(n_ - i - 1);
         const double bi = bcells_[i].dist;
-        growTargets_.clear();
-        growRadii_.clear();
-        growLocal_.clear();
         for (int j = i + 1; j < n_; ++j) {
-            const double radius = bi + bcells_[j].dist;
-            if (paths.pairLowerBound(defects_[i], defects_[j]) >=
-                radius) {
-                continue;
-            }
-            rt::pushBack(growTargets_, defects_[j]);
-            rt::pushBack(growRadii_, radius);
-            rt::pushBack(growLocal_, static_cast<int32_t>(j));
+            growRadii_[j] = bi + bcells_[j].dist;
         }
-        if (growTargets_.empty()) {
-            continue;
-        }
-        oracle_.grow(defects_[i], growTargets_, growRadii_,
-                     rowScratch_.data());
-        for (size_t k = 0; k < growLocal_.size(); ++k) {
-            const int j = growLocal_[k];
-            const PathCell &cell = rowScratch_[k];
+        oracle_.grow(defects_[i], {defects_.data() + i + 1, count},
+                     {growRadii_.data() + i + 1, count},
+                     rowScratch_.data() + i + 1);
+        for (int j = i + 1; j < n_; ++j) {
+            const PathCell &cell = rowScratch_[j];
             if (keepCandidate(cell, bcells_[i], bcells_[j])) {
                 rt::pushBack(cands_, {j, cell});
             }

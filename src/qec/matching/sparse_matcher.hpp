@@ -25,22 +25,20 @@
  * any exact solver).
  *
  * The deferred backend drops such pairs without computing d(i, j)
- * in two ways. First, before any search, PathTable::pairLowerBound
- * — the landmark bound max_L |dL(i) - dL(j)|, less a relative
- * margin of 1e-6 (dL(i) + dL(j)) that covers the float narrowing of
- * the two landmark cells and of the pair cell itself — proves
- * d(i, j) >= db(i) + db(j) for most far-apart pairs. Second, each
- * source's growth gives every remaining target j its own radius
- * db(i) + db(j), and the oracle, bound with the table's landmark
- * rows, runs a goal-directed search (distance_oracle.hpp) that
- * admits only relaxations that can lie on a shortest path to an
- * unsettled target within its radius: a target within its radius
- * keeps its exact cell, and one beyond it comes back infinite, so
- * keepCandidate drops it. Both tests compare the same double sum
- * of the two float boundary cells that the dense backend compares
- * its table cell against. When boundary distances are infinite no
- * test drops a reachable pair and the growth runs to exhaustion —
- * the matcher degrades to exact dense behavior.
+ * by one mechanism: each source's growth covers every later defect j
+ * with its own radius db(i) + db(j), and the oracle, bound with
+ * the table's landmark rows, runs a goal-directed search
+ * (distance_oracle.hpp). It drops a target whose landmark bound
+ * already exceeds its radius before seeding (for most far-apart
+ * pairs), and admits only relaxations that can lie on a shortest
+ * path to an unsettled target within its radius: a target within
+ * its radius keeps its exact cell, and one beyond it comes back
+ * infinite, so keepCandidate drops it. The radius is the same
+ * double sum of the two float boundary cells that the dense
+ * backend compares its table cell against. When boundary
+ * distances are infinite no test drops a reachable pair and the
+ * growth runs to exhaustion — the matcher degrades to exact dense
+ * behavior.
  *
  * Two interchangeable distance backends feed the same build: with a
  * dense PathTable the problem reads table rows on demand (no S×S
@@ -129,9 +127,7 @@ class SparseMatchingProblem
     std::vector<PathCell> bcells_;    //!< Boundary column cells.
     std::vector<int32_t> offsets_;    //!< n+1 CSR offsets.
     std::vector<SparseCandidate> cands_;
-    std::vector<uint32_t> growTargets_; //!< One growth's targets,
-    std::vector<double> growRadii_;     //!< their stop radii,
-    std::vector<int32_t> growLocal_;    //!< and local indices.
+    std::vector<double> growRadii_;   //!< db(i) + db(j) by local j.
     std::vector<PathCell> rowScratch_;
     DistanceOracle oracle_;           //!< Lazy distance backend.
 };

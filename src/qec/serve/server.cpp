@@ -31,7 +31,6 @@ struct alignas(64) DecodeServer::Worker
     SyndromeStream corruptScratch;
     // Plain counters: written by the owning worker thread only,
     // merged by stats() in a quiescent state.
-    uint64_t completed = 0;
     uint64_t failed = 0;
     uint64_t aborted = 0;
     uint64_t handlerExceptions = 0;
@@ -264,7 +263,6 @@ DecodeServer::workerLoop(Worker &w)
             response.serviceNs = static_cast<double>(t1 - t0);
 
             if (!expired) {
-                ++w.completed;
                 if (response.status != DecodeStatus::kOk) {
                     ++w.failed;
                 }
@@ -360,7 +358,6 @@ DecodeServer::resetStats()
     completed_.store(0, std::memory_order_relaxed);
     expired_.store(0, std::memory_order_relaxed);
     for (auto &w : workers_) {
-        w->completed = 0;
         w->failed = 0;
         w->aborted = 0;
         w->handlerExceptions = 0;

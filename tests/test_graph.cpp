@@ -6,7 +6,7 @@
  * the DistanceOracle contract on deferred tables, a textbook
  * Dijkstra cross-check of the tie rule under both of the oracle's
  * queues and of the goal-directed search on disconnected graphs,
- * and admissibility of the landmark lower bound.
+ * and the landmark bound's drop of far targets before seeding.
  */
 
 #include <gtest/gtest.h>
@@ -551,7 +551,7 @@ TEST(DistanceOracle, MatchesReferenceDijkstraOnTieHeavyDems)
     EXPECT_EQ(beyondReported, 0u);
 }
 
-TEST(DistanceOracle, LandmarkHullIsExactOnDisconnectedDems)
+TEST(DistanceOracle, LandmarkSearchIsExactOnDisconnectedDems)
 {
     // Random DEMs of 2-4 disjoint blocks, so landmark columns hold
     // +inf cells. The goal-directed grow() must still match the
@@ -559,7 +559,8 @@ TEST(DistanceOracle, LandmarkHullIsExactOnDisconnectedDems)
     // landmark that reaches neither w nor a target says nothing (or
     // in-block targets would go missing), and one that reaches w
     // but not the target proves them apart: a growth whose targets
-    // all lie outside the source's block settles the source alone.
+    // all lie outside the source's block drops them all at the
+    // source and settles nothing.
     const std::vector<std::vector<double>> probSets = {
         {0.1}, {0.1, 0.01}, {0.05, 0.2, 0.3}, {1e-9, 0.49}};
     Rng rng(0xd15c);
@@ -620,7 +621,7 @@ TEST(DistanceOracle, LandmarkHullIsExactOnDisconnectedDems)
             oracle.grow(src, targets, radii, out.data());
             if (elsewhere) {
                 ++isolatedGrowths;
-                EXPECT_EQ(oracle.settledNodes() - before, 1u)
+                EXPECT_EQ(oracle.settledNodes() - before, 0u)
                     << where << " src " << src;
             }
             for (size_t k = 0; k < targets.size(); ++k) {
@@ -647,25 +648,38 @@ TEST(DistanceOracle, LandmarkHullIsExactOnDisconnectedDems)
     EXPECT_GT(isolatedGrowths, 100u);
 }
 
-TEST(PathTable, LandmarkBoundIsAdmissible)
+TEST(DistanceOracle, LandmarkBoundDropsFarTargetsBeforeSeeding)
 {
-    // pairLowerBound never exceeds the dense float cell: every pair
-    // at d in {5, 7}, 20k sampled pairs at d = 11. The bound must
-    // also be informative, or the sparse matcher prunes nothing.
+    // A target whose landmark bound already exceeds its radius is
+    // dropped at the source, before seeding. Grow every pair at
+    // d in {5, 7} and 20k sampled pairs at d = 11, each with a
+    // radius of 0.9 times its dense cell: every target must come
+    // back infinite, and the bound must be tight enough that some
+    // of these growths are dropped whole and settle no node.
     for (int d : {5, 7, 11}) {
         const auto &ctx = ExperimentContext::get(d, 1e-3);
         const PathTable &dense = ctx.paths();
         const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
         const uint32_t n = ctx.graph().numDetectors();
-        double tightest = 0.0;
+        DistanceOracle oracle;
+        oracle.bind(deferred.graph(), deferred.landmarkRows());
+        int dropped = 0;
         const auto check = [&](uint32_t a, uint32_t b) {
-            const double bound = deferred.pairLowerBound(a, b);
             const double exact = dense.dist(a, b);
-            ASSERT_LE(bound, exact)
-                << "d=" << d << " pair " << a << "," << b;
-            if (exact > 0.0) {
-                tightest = std::max(tightest, bound / exact);
+            if (exact == 0.0) {
+                return; // The diagonal is within any radius.
             }
+            const double radius = 0.9 * exact;
+            PathCell out;
+            const uint64_t before = oracle.settledNodes();
+            oracle.grow(a, {&b, 1}, {&radius, 1}, &out);
+            dropped += oracle.settledNodes() == before;
+            const std::string at = "d=" + std::to_string(d) +
+                                   " pair " + std::to_string(a) +
+                                   "," + std::to_string(b);
+            ASSERT_FALSE(std::isfinite(out.dist)) << at;
+            ASSERT_EQ(out.obs, 0) << at;
+            ASSERT_EQ(out.hops, 255) << at;
         };
         if (d <= 7) {
             for (uint32_t a = 0; a < n; ++a) {
@@ -680,9 +694,7 @@ TEST(PathTable, LandmarkBoundIsAdmissible)
                       static_cast<uint32_t>(rng.next64() % n));
             }
         }
-        EXPECT_GT(tightest, 0.9) << "d=" << d;
-        EXPECT_EQ(dense.pairLowerBound(0, n - 1), 0.0)
-            << "dense tables hold no landmarks";
+        EXPECT_GT(dropped, 0) << "d=" << d;
     }
 }
 

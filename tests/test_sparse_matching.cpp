@@ -13,8 +13,7 @@
  *    DeferPairs/Dijkstra-backed builds of SparseMatchingProblem
  *    must produce the identical candidate sets, solutions, and
  *    predicted observables, on uniform-rate and importance-sampled
- *    syndromes at d in {5, 7, 11, 13} (the latter where the
- *    landmark bound prunes pairs before any search);
+ *    syndromes at d in {5, 7, 11, 13};
  *  - the deferred build's landmark-directed growths settle at most
  *    a fifth of the nodes of a landmark-free oracle on
  *    importance-sampled syndromes at d in {11, 13}, with identical
@@ -294,8 +293,7 @@ TEST(SparseMatch, DeferredBackendBitIdenticalToTableBackend)
     // The Dijkstra-backed build (DeferPairs table) must reproduce
     // the dense-table-backed build exactly, on uniform-rate
     // syndromes and on importance-sampled k-fault syndromes (the
-    // deep_d17 regime, k in [3, 12]), where far-apart pairs are
-    // dropped by the landmark bound before any search.
+    // deep_d17 regime, k in [3, 12]).
     for (int d : {5, 7, 11, 13}) {
         const auto &ctx = ExperimentContext::get(d, 1e-3);
         const PathTable deferred(ctx.graph(),
@@ -315,23 +313,11 @@ TEST(SparseMatch, DeferredBackendBitIdenticalToTableBackend)
             }
         }
         ImportanceSampler sampler(ctx.dem(), 12);
-        int pruned = 0;
         for (int k = 3; k <= 12; ++k) {
             for (int i = 0; i < 6; ++i) {
                 Rng sampleRng = Rng::forSample(0x5a60 + d, k, i);
                 const auto sample = sampler.sample(k, sampleRng);
                 const std::vector<uint32_t> &defects = sample.defects;
-                for (size_t a = 0; a < defects.size(); ++a) {
-                    for (size_t b = a + 1; b < defects.size(); ++b) {
-                        pruned += deferred.pairLowerBound(
-                                      defects[a], defects[b]) >=
-                                  static_cast<double>(
-                                      deferred.distToBoundary(
-                                          defects[a])) +
-                                      deferred.distToBoundary(
-                                          defects[b]);
-                    }
-                }
                 expectBackendsBitIdentical(
                     ctx.paths(), deferred, defects,
                     "d=" + std::to_string(d) + " k=" +
@@ -339,22 +325,18 @@ TEST(SparseMatch, DeferredBackendBitIdenticalToTableBackend)
                         std::to_string(i));
             }
         }
-        if (d >= 11) {
-            EXPECT_GT(pruned, 0)
-                << "d=" << d << ": the landmark bound never fired";
-        }
     }
 }
 
-TEST(DistanceOracle, LandmarkHullSettlesFewerNodes)
+TEST(DistanceOracle, LandmarksSettleFewerNodes)
 {
     // The deferred build's oracle is bound with the table's landmark
     // rows, so its growths are goal-directed. Mirror each build's
-    // growths on an oracle bound without landmarks, whose search is
-    // Dijkstra with radius admission: the candidates must be
-    // identical, and the landmarks must cut the settled nodes to at
-    // most a fifth. Settled nodes are a count, so host load cannot
-    // move this check.
+    // growths, every target j > i, on an oracle bound without
+    // landmarks, whose search is Dijkstra with radius admission: the
+    // candidates must be identical, and the landmarks must cut the
+    // settled nodes to at most a fifth. Settled nodes are a count,
+    // so host load cannot move this check.
     for (int d : {11, 13}) {
         const auto &ctx = ExperimentContext::get(d, 1e-3);
         const PathTable deferred(ctx.graph(),
@@ -383,15 +365,10 @@ TEST(DistanceOracle, LandmarkHullSettlesFewerNodes)
                     radii.clear();
                     locals.clear();
                     for (int b = a + 1; b < problem.size(); ++b) {
-                        const double radius =
-                            ba + deferred.distToBoundary(defects[b]);
-                        if (deferred.pairLowerBound(defects[a],
-                                                    defects[b]) <
-                            radius) {
-                            targets.push_back(defects[b]);
-                            radii.push_back(radius);
-                            locals.push_back(b);
-                        }
+                        targets.push_back(defects[b]);
+                        radii.push_back(
+                            ba + deferred.distToBoundary(defects[b]));
+                        locals.push_back(b);
                     }
                     std::vector<SparseCandidate> want;
                     if (!targets.empty()) {
