@@ -24,20 +24,25 @@
  *   --json PATH        also write the report as JSON
  *
  * Sample counts additionally scale with the QEC_BENCH_SCALE
- * environment variable (default 1.0); raise it for tighter error
- * bars.
+ * environment variable (default 1.0, range [0.001, 10000]); raise it
+ * for tighter error bars. A flag or environment value that is not a
+ * number in its range exits with status 2 (parseNumber).
  */
 
 #ifndef QEC_BENCH_COMMON_HPP
 #define QEC_BENCH_COMMON_HPP
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,12 +68,62 @@ struct BenchCli
     std::string jsonPath;
 };
 
+/**
+ * The one strict number parser of the benches' flags and environment
+ * knobs: `text` (the value of `what`) must parse whole as a finite
+ * number in [lo, hi], and as a whole number when T is an integer
+ * type, so the conversion to T is always defined. Anything else
+ * prints a message and exits with status 2, before any work starts.
+ */
+template <typename T>
+T
+parseNumber(const char *what, const char *text, T lo, T hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long double parsed = std::strtold(text, &end);
+    const bool valid =
+        end != text && *end == '\0' && errno == 0 &&
+        std::isfinite(parsed) && parsed >= lo && parsed <= hi &&
+        (std::is_floating_point_v<T> || parsed == std::trunc(parsed));
+    if (!valid) {
+        std::fprintf(stderr,
+                     "%s must be %s in [%.15Lg, %.15Lg], got '%s'\n",
+                     what,
+                     std::is_integral_v<T> ? "an integer" : "a number",
+                     static_cast<long double>(lo),
+                     static_cast<long double>(hi), text);
+        std::exit(2);
+    }
+    return static_cast<T>(parsed);
+}
+
+/** Environment variable `name` through parseNumber; `fallback` when
+ *  it is unset or empty. */
+template <typename T>
+T
+envNumber(const char *name, T fallback, T lo, T hi)
+{
+    const char *text = std::getenv(name);
+    return text && *text ? parseNumber(name, text, lo, hi) : fallback;
+}
+
+/** QEC_BENCH_SCALE, the factor benches multiply their default sample
+ *  counts by (default 1.0). Its range keeps every scaled count and
+ *  scaled duration representable. */
+inline double
+benchScale()
+{
+    static const double scale =
+        envNumber("QEC_BENCH_SCALE", 1.0, 1e-3, 1e4);
+    return scale;
+}
+
 /** Default per-k sample count for LER estimation, after scaling. */
 inline uint64_t
 scaledSamples(uint64_t base)
 {
-    const double scaled = static_cast<double>(base) *
-                          qec::benchScale();
+    const double scaled = static_cast<double>(base) * benchScale();
     return scaled < 16 ? 16 : static_cast<uint64_t>(scaled);
 }
 
@@ -108,7 +163,7 @@ class Bench
             "Promatch reproduction (docs/benchmarks.md); "
             "QEC_BENCH_SCALE=%g, threads=%d\n"
             "==========================================================\n",
-            name, description, qec::benchScale(),
+            name, description, benchScale(),
             lerOptions(0).resolvedThreads());
     }
 
@@ -271,49 +326,18 @@ class Bench
         };
         for (int i = 1; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--threads")) {
-                char *end = nullptr;
-                const long parsed =
-                    std::strtol(value(i), &end, 10);
-                if (!end || *end != '\0' || parsed < 0) {
-                    std::fprintf(
-                        stderr,
-                        "%s: --threads needs a non-negative "
-                        "integer (0 = all hardware threads), "
-                        "got '%s'\n",
-                        name_.c_str(), argv[i]);
-                    usage(2);
-                }
-                cli_.threads = static_cast<int>(parsed);
+                cli_.threads = parseNumber(
+                    "--threads (0 = all hardware threads)", value(i),
+                    0, INT_MAX);
             } else if (!std::strcmp(argv[i],
                                     "--samples-per-k")) {
-                char *end = nullptr;
-                const long long parsed =
-                    std::strtoll(value(i), &end, 10);
-                if (!end || *end != '\0' || parsed <= 0) {
-                    std::fprintf(
-                        stderr,
-                        "%s: --samples-per-k needs a positive "
-                        "integer, got '%s'\n",
-                        name_.c_str(), argv[i]);
-                    usage(2);
-                }
-                cli_.samplesPerK =
-                    static_cast<uint64_t>(parsed);
+                cli_.samplesPerK = parseNumber<uint64_t>(
+                    "--samples-per-k", value(i), 1, 1'000'000'000'000);
             } else if (!std::strcmp(argv[i], "--spec")) {
                 cli_.spec = value(i);
             } else if (!std::strcmp(argv[i], "--repeat")) {
-                char *end = nullptr;
-                const long parsed =
-                    std::strtol(value(i), &end, 10);
-                if (!end || *end != '\0' || parsed <= 0) {
-                    std::fprintf(
-                        stderr,
-                        "%s: --repeat needs a positive integer, "
-                        "got '%s'\n",
-                        name_.c_str(), argv[i]);
-                    usage(2);
-                }
-                cli_.repeat = static_cast<int>(parsed);
+                cli_.repeat =
+                    parseNumber("--repeat", value(i), 1, INT_MAX);
             } else if (!std::strcmp(argv[i], "--json")) {
                 cli_.jsonPath = value(i);
             } else if (!std::strcmp(argv[i], "--artifact") &&
@@ -398,7 +422,7 @@ class Bench
         out += "  \"description\": " +
                qec::jsonQuote(description_) + ",\n";
         out += "  \"scale\": " +
-               qec::formatSci(qec::benchScale()) + ",\n";
+               qec::formatSci(benchScale()) + ",\n";
         out += "  \"threads\": " +
                std::to_string(lerOptions(0).resolvedThreads()) +
                ",\n";

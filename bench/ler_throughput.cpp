@@ -355,9 +355,8 @@ printSparseHighDistance(Bench &bench, int threads)
 void
 printPredecoderComparison(Bench &bench,
                           const ExperimentContext &ctx,
-                          LerOptions options)
+                          const LerOptions &options)
 {
-    options.collectTraces = true;
     ReportTable table(
         "Predecoder accuracy/coverage, d = 11, p = 1e-4 "
         "(pinball+sparse: exact MWPM cleanup reference)",
@@ -378,13 +377,13 @@ printPredecoderComparison(Bench &bench,
             ctx, *decoder, options,
             [&](const SampleView &view) {
                 weight_total += view.weight;
-                if (!view.trace->predecoderEngaged) {
+                if (!view.trace.predecoderEngaged) {
                     return;
                 }
                 weight_engaged += view.weight;
-                hw_before += view.weight * view.trace->hwBefore;
-                hw_after += view.weight * view.trace->hwAfter;
-                if (view.trace->hwAfter == 0) {
+                hw_before += view.weight * view.trace.hwBefore;
+                hw_after += view.weight * view.trace.hwAfter;
+                if (view.trace.hwAfter == 0) {
                     weight_local += view.weight;
                 }
             });

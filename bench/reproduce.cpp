@@ -29,7 +29,7 @@ enum Metric
     kFailHighHw, // P(fail | 11 <= HW <= 64)
     kHwBefore,   // syndrome HW histogram, one line per bin
     kGt10Before, // P(HW > 10)
-    // Read from decode traces: kHwAfter..kTotalMean set collectTraces.
+    // Read from decode traces.
     kHwAfter,     // residual HW histogram after predecoding
     kGt10After,   // P(residual HW > 10)
     kChainLength, // chain-length histogram, lengths 1..8
@@ -284,7 +284,7 @@ rowTable()
 /** Everything the metrics read from one estimateLer run. */
 struct Run
 {
-    bool traces = false, done = false;
+    bool done = false;
     double ler = 0.0;
     HwConditionalStats byHw;
     WeightedHistogram before, after, chains;
@@ -312,7 +312,6 @@ execute(const Bench &bench, const Row &row, Run &run)
     LerOptions options = bench.lerOptions(row.samples);
     options.seed = row.seed;
     options.skipBelowK = row.skipBelowK;
-    options.collectTraces = run.traces;
     if (row.highHwOnly) {
         options.decodeFilter = [](int, const std::vector<uint32_t> &s) {
             return s.size() > 10;
@@ -326,14 +325,15 @@ execute(const Bench &bench, const Row &row, Run &run)
         run.byHw.record(hw, view.weight, view.failed);
         run.before.add(hw, view.weight);
         run.gt10Before += hw > 10 ? view.weight : 0.0;
-        if (!view.trace) {
-            return;
-        }
-        const DecodeTrace &trace = *view.trace;
+        const DecodeTrace &trace = view.trace;
         run.after.add(trace.hwAfter, view.weight);
         run.gt10After += trace.hwAfter > 10 ? view.weight : 0.0;
-        for (int len : trace.chainLengths) {
-            run.chains.add(len, view.weight);
+        // One add per chain. All adds of one sample carry the same
+        // weight, so their order cannot change a bin or the total.
+        for (size_t hops = 0; hops < trace.chainHops.size(); ++hops) {
+            for (uint32_t c = 0; c < trace.chainHops[hops]; ++c) {
+                run.chains.add(static_cast<int>(hops), view.weight);
+            }
         }
         run.steps[trace.steps.deepest()] += view.weight;
         run.predecodeNs.add(std::min(trace.predecodeNs, cap),
@@ -493,22 +493,16 @@ main(int argc, char **argv)
             rows.push_back(std::move(row));
         }
     }
-    // One run per distinct (spec, d, p, sampling options), with
-    // traces when any row reading it needs them; model rows have none.
+    // One run per distinct (spec, d, p, sampling options); model rows
+    // have none.
     std::map<RunKey, Run> runs;
-    for (const Row &row : rows) {
-        if (row.samples > 0) {
-            runs[runKey(row)].traces |=
-                row.metric >= kHwAfter && row.metric < kDetectors;
-        }
-    }
     for (const Artifact &artifact : kArtifacts) {
         std::vector<Cell> cells;
         for (const Row &row : rows) {
             if (row.artifact != artifact.name) {
                 continue;
             }
-            Run *run = row.samples > 0 ? &runs.at(runKey(row)) : nullptr;
+            Run *run = row.samples > 0 ? &runs[runKey(row)] : nullptr;
             if (run && !run->done) {
                 execute(bench, row, *run);
             }

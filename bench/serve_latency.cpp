@@ -34,16 +34,21 @@
  * knobs ride environment variables so the shared CLI stays shared:
  *
  *   QEC_SERVE_SECONDS     measured seconds per phase (default 2)
- *   QEC_SERVE_QPS         open-loop offered load (default 0 =
- *                         0.7 x measured saturation)
+ *   QEC_SERVE_QPS         open-loop offered load, whole requests
+ *                         per second (default 0 = 0.7 x measured
+ *                         saturation)
  *   QEC_SERVE_RING        request-slot / ring capacity (default
  *                         256)
  *   QEC_SERVE_POOL        pre-drawn stream pool size (default
  *                         2048)
  *   QEC_SERVE_BUDGET_NS   degraded-phase per-tier budget (default
  *                         0 = 0.5 x healthy service p50)
- *   QEC_SERVE_DEADLINE_NS degraded-phase per-request deadline
- *                         (default 0 = healthy open-loop p99)
+ *   QEC_SERVE_DEADLINE_NS degraded-phase per-request deadline,
+ *                         whole ns (default 0 = healthy open-loop
+ *                         p99)
+ *
+ * A value that is not a finite number in its range (see main) exits
+ * with status 2 before any work starts.
  */
 
 #include "bench_common.hpp"
@@ -53,19 +58,6 @@
 
 namespace
 {
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *text = std::getenv(name);
-    if (!text || !*text) {
-        return fallback;
-    }
-    char *end = nullptr;
-    const double parsed = std::strtod(text, &end);
-    return (end && *end == '\0' && parsed > 0.0) ? parsed
-                                                 : fallback;
-}
 
 struct PhaseResult
 {
@@ -175,13 +167,21 @@ main(int argc, char **argv)
         "latency, d = 11, p = 1e-4");
 
     const std::string spec = bench.specOr("pinball+astrea");
+    // At most a day per phase before scaling, so a scaled phase
+    // stays within the steady clock's range.
     const double seconds =
-        envDouble("QEC_SERVE_SECONDS", 2.0) * qec::benchScale();
-    const double offeredEnv = envDouble("QEC_SERVE_QPS", 0.0);
+        qecbench::envNumber("QEC_SERVE_SECONDS", 2.0, 1e-3, 86400.0) *
+        qecbench::benchScale();
+    const double offeredEnv = static_cast<double>(qecbench::envNumber(
+        "QEC_SERVE_QPS", 0, 0, 1'000'000'000));
     const int ringCapacity =
-        static_cast<int>(envDouble("QEC_SERVE_RING", 256));
+        qecbench::envNumber("QEC_SERVE_RING", 256, 1, INT_MAX);
     const int poolSize =
-        static_cast<int>(envDouble("QEC_SERVE_POOL", 2048));
+        qecbench::envNumber("QEC_SERVE_POOL", 2048, 1, INT_MAX);
+    const double budgetEnv = qecbench::envNumber(
+        "QEC_SERVE_BUDGET_NS", 0.0, 0.0, 1e15);
+    const uint64_t deadlineEnv = qecbench::envNumber<uint64_t>(
+        "QEC_SERVE_DEADLINE_NS", 0, 0, 1'000'000'000'000'000);
     const int workers =
         bench.cli().threads
             ? bench.cli().threads
@@ -263,13 +263,10 @@ main(int argc, char **argv)
     // decode, with every request carrying a deadline at the
     // healthy p99 — the floor the service holds when overloaded.
     const double budgetNs =
-        envDouble("QEC_SERVE_BUDGET_NS", 0.0) > 0.0
-            ? envDouble("QEC_SERVE_BUDGET_NS", 0.0)
-            : 0.5 * serviceP50;
-    const uint64_t deadlineNs = static_cast<uint64_t>(
-        envDouble("QEC_SERVE_DEADLINE_NS", 0.0) > 0.0
-            ? envDouble("QEC_SERVE_DEADLINE_NS", 0.0)
-            : p99);
+        budgetEnv > 0.0 ? budgetEnv : 0.5 * serviceP50;
+    const uint64_t deadlineNs = deadlineEnv > 0
+                                    ? deadlineEnv
+                                    : static_cast<uint64_t>(p99);
     qec::FallbackConfig degradedConfig;
     degradedConfig.budgetNs = budgetNs;
     auto degradedProto = qec::makeDegradationLadder(

@@ -15,7 +15,7 @@ AstreaDecoder::decode(std::span<const uint32_t> defects,
 {
     QEC_REALTIME;
     if (trace) {
-        trace->reset();
+        *trace = {};
         trace->hwBefore = static_cast<int>(defects.size());
     }
     DecodeResult result;
@@ -47,8 +47,8 @@ AstreaDecoder::decode(std::span<const uint32_t> defects,
     result.weight = solution.totalWeight;
     result.latencyNs = latency_.astreaLatencyNs(hw);
     if (trace) {
-        dg.chainLengthsInto(workspace.distances, solution,
-                            trace->chainLengths);
+        dg.chainHopsInto(workspace.distances, solution,
+                         trace->chainHops);
     }
     return result;
 }

@@ -18,7 +18,7 @@ AstreaGDecoder::decode(std::span<const uint32_t> defects,
 {
     QEC_REALTIME;
     if (trace) {
-        trace->reset();
+        *trace = {};
         trace->hwBefore = static_cast<int>(defects.size());
     }
     DecodeResult result;
@@ -68,8 +68,8 @@ AstreaGDecoder::decode(std::span<const uint32_t> defects,
     result.latencyNs = static_cast<double>(cycles) *
                        latency_.nsPerCycle;
     if (trace) {
-        dg.chainLengthsInto(workspace.distances, solution,
-                            trace->chainLengths);
+        dg.chainHopsInto(workspace.distances, solution,
+                         trace->chainHops);
     }
     return result;
 }

@@ -10,28 +10,6 @@
 namespace qec
 {
 
-// Outlined so the audited decode bodies carry one call to a symbol
-// the allowlist exempts: clearing `children` destroys whole child
-// traces (heap-backed vectors), which is trace-path-only work that
-// must not inline delete relocations into hot decode bodies.
-QEC_RT_OUTLINE void
-DecodeTrace::reset()
-{
-    predecoderEngaged = false;
-    hwBefore = 0;
-    hwAfter = 0;
-    predecodeNs = 0.0;
-    mainNs = 0.0;
-    steps = {};
-    predecodeRounds = 0;
-    parallelWinner = -1;
-    searchStates = 0;
-    searchTruncated = false;
-    chainLengths.clear();
-    correctionEdges.clear();
-    children.clear();
-}
-
 void
 scatterBlockLanes(std::span<const uint64_t> detectorWords,
                   uint64_t laneMask,

@@ -10,9 +10,8 @@
  *
  * Memory contract: `decode()` borrows a caller-owned DecodeWorkspace
  * holding every per-decode scratch structure; a warm workspace makes
- * steady-state decoding allocation-free. DecodeResult itself is
- * plain data — the error-chain lengths that used to ride on it live
- * in DecodeTrace now, computed only when a trace is requested.
+ * steady-state decoding allocation-free, traced or not. DecodeResult
+ * and DecodeTrace are both plain data.
  *
  * Thread-safety contract: `decode()` keeps no per-call state on the
  * decoder — all per-decode introspection is written into the
@@ -36,6 +35,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
@@ -65,6 +65,8 @@ struct StepUsage
         if (step1) return 1;
         return 0;
     }
+
+    bool operator==(const StepUsage &) const = default;
 };
 
 /**
@@ -86,13 +88,16 @@ struct DecodeResult
 };
 
 /**
- * Caller-owned introspection of one decode.
+ * Caller-owned introspection of one decode: one flat record of plain
+ * data, so filling or copying it never touches the heap.
  *
  * Pass a DecodeTrace* to decode() to collect it; pass nullptr to
- * skip all trace bookkeeping on the hot path. Every decoder fills
- * only the fields it understands and resets the rest, so a trace
- * can be reused across calls. Composite decoders (pipeline,
- * parallel) additionally record one child trace per sub-decoder.
+ * skip all trace bookkeeping on the hot path. Every leaf decoder
+ * clears the record (`*trace = {}`) and fills the fields it
+ * understands, so a trace can be reused across calls. A pipeline
+ * hands its trace to the main decoder and then writes its stage
+ * fields over it; a parallel pair copies in the winning side's
+ * record and sets `parallelWinner`.
  */
 struct DecodeTrace
 {
@@ -109,28 +114,13 @@ struct DecodeTrace
     // --- Search decoders (Astrea-G).
     long long searchStates = 0;
     bool searchTruncated = false;
-    // --- Matching decoders (MWPM, Astrea, Astrea-G).
-    // Error-chain lengths of the final matching (Fig. 5 stats);
-    // composite stacks hoist the winning child's lengths here.
-    std::vector<int> chainLengths;
-    // --- Correction-extracting decoders (UnionFind).
-    std::vector<uint32_t> correctionEdges;
-    // --- Sub-decoder traces of composite stacks, in child order.
-    // Pipeline: children[0] is the main decoder's trace *when the
-    // main decoder ran* (empty if an NSM predecoder resolved the
-    // whole syndrome locally). Parallel: children[0]/[1] are the
-    // two sides.
-    std::vector<DecodeTrace> children;
+    // --- Matching decoders (sparse, Astrea, Astrea-G): hop counts of
+    // the final matching's error chains (Fig. 5).
+    ChainHops chainHops{};
 
-    /**
-     * Clear for reuse, keeping vector capacity across decodes.
-     * Out of line (decoder.cpp): children.clear() destroys child
-     * traces, whose inlined vector deletes would otherwise land in
-     * every audited decode body (tools/rt_audit exempts the reset
-     * symbol instead).
-     */
-    void reset();
+    bool operator==(const DecodeTrace &) const = default;
 };
+static_assert(std::is_trivially_copyable_v<DecodeTrace>);
 
 /** Abstract decoder over a fixed decoding graph. */
 class Decoder
@@ -152,9 +142,9 @@ class Decoder
      *                   decoding allocation-free. Must not be
      *                   shared between threads.
      * @param trace      optional caller-owned introspection sink;
-     *                   the decoder resets and fills it. nullptr
+     *                   the decoder clears and fills it. nullptr
      *                   skips all trace bookkeeping (including
-     *                   chain-length extraction).
+     *                   the chain-hop histogram).
      */
     virtual DecodeResult decode(std::span<const uint32_t> defects,
                                 DecodeWorkspace &workspace,

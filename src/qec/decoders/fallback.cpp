@@ -176,7 +176,7 @@ PredecodeCommitDecoder::decode(std::span<const uint32_t> defects,
 {
     QEC_REALTIME;
     if (trace) {
-        trace->reset();
+        *trace = {};
         trace->hwBefore = static_cast<int>(defects.size());
     }
     DecodeResult result;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include "qec/util/realtime.hpp"
-#include "qec/util/rt_grow.hpp"
 
 namespace qec
 {
@@ -13,19 +12,14 @@ ParallelDecoder::decode(std::span<const uint32_t> defects,
                         DecodeTrace *trace)
 {
     QEC_REALTIME;
-    if (trace) {
-        trace->reset();
-        trace->hwBefore = static_cast<int>(defects.size());
-    }
     // The sides run sequentially on the shared workspace; each
-    // result is plain data, fully extracted before the other side
-    // reuses the scratch.
-    DecodeResult ra = a->decode(
-        defects, workspace,
-        trace ? &rt::emplaceBack(trace->children) : nullptr);
-    DecodeResult rb = b->decode(
-        defects, workspace,
-        trace ? &rt::emplaceBack(trace->children) : nullptr);
+    // result and side trace is plain data, fully extracted before
+    // the other side reuses the scratch.
+    DecodeTrace side_traces[2];
+    DecodeResult ra = a->decode(defects, workspace,
+                                trace ? &side_traces[0] : nullptr);
+    DecodeResult rb = b->decode(defects, workspace,
+                                trace ? &side_traces[1] : nullptr);
 
     const double compare_ns =
         latency_.compareCycles * latency_.nsPerCycle;
@@ -41,6 +35,10 @@ ParallelDecoder::decode(std::span<const uint32_t> defects,
     DecodeResult result;
     int winner;
     if (ra.aborted && rb.aborted) {
+        if (trace) {
+            *trace = {};
+            trace->hwBefore = static_cast<int>(defects.size());
+        }
         result.aborted = true;
         result.latencyNs = latency_.budgetNs;
         return result;
@@ -59,12 +57,8 @@ ParallelDecoder::decode(std::span<const uint32_t> defects,
         result = rb;
     }
     if (trace) {
+        *trace = side_traces[winner];
         trace->parallelWinner = winner;
-        // Swap, not move-assign: move-assignment frees chainLengths'
-        // retained capacity right here in the decode body. The swap
-        // parks it in the child, torn down with the trace tree.
-        std::swap(trace->chainLengths,
-                  trace->children[winner].chainLengths);
     }
     result.latencyNs = latency;
     if (latency > latency_.budgetNs) {

@@ -9,8 +9,9 @@
  * the other side's answer is used; if both abort, the combination
  * aborts.
  *
- * The arbitration outcome lands in DecodeTrace::parallelWinner, and
- * each side's own trace in trace->children[0] / [1].
+ * A trace receives the winning side's record, with the arbitration
+ * outcome in DecodeTrace::parallelWinner; when both sides abort it
+ * records only hwBefore.
  */
 
 #ifndef QEC_DECODERS_PARALLEL_HPP

@@ -4,7 +4,6 @@
 
 #include "qec/decoders/workspace.hpp"
 #include "qec/util/realtime.hpp"
-#include "qec/util/rt_grow.hpp"
 
 namespace qec
 {
@@ -15,22 +14,16 @@ PredecodedDecoder::decode(std::span<const uint32_t> defects,
                           DecodeTrace *trace)
 {
     QEC_REALTIME;
-    if (trace) {
-        trace->reset();
-        trace->hwBefore = static_cast<int>(defects.size());
-    }
+    const int hw = static_cast<int>(defects.size());
 
-    // Low-HW syndromes skip the predecoder entirely (§3).
-    if (static_cast<int>(defects.size()) <= latency_.astreaMaxHw) {
-        DecodeResult result = main_->decode(
-            defects, workspace,
-            trace ? &rt::emplaceBack(trace->children) : nullptr);
+    // Low-HW syndromes skip the predecoder entirely (§3). The main
+    // decoder fills the trace; the stage fields go on top of it.
+    if (hw <= latency_.astreaMaxHw) {
+        DecodeResult result = main_->decode(defects, workspace, trace);
         if (trace) {
-            trace->hwAfter = trace->hwBefore;
+            trace->hwBefore = hw;
+            trace->hwAfter = hw;
             trace->mainNs = result.latencyNs;
-            // Swap, not move-assign (no inline free; see parallel.cpp).
-            std::swap(trace->chainLengths,
-                      trace->children.back().chainLengths);
         }
         if (result.latencyNs > latency_.effectiveBudgetNs()) {
             result.aborted = true;
@@ -47,16 +40,23 @@ PredecodedDecoder::decode(std::span<const uint32_t> defects,
     pre->predecode(defects, budget_cycles, workspace, pre_result);
     const double predecode_ns =
         static_cast<double>(pre_result.cycles) * latency_.nsPerCycle;
-    if (trace) {
+    const auto record_stage = [&](int hw_after, double main_ns) {
         trace->predecoderEngaged = true;
+        trace->hwBefore = hw;
+        trace->hwAfter = hw_after;
+        trace->predecodeNs = predecode_ns;
+        trace->mainNs = main_ns;
         trace->steps = pre_result.steps;
         trace->predecodeRounds = pre_result.rounds;
-        trace->predecodeNs = predecode_ns;
-    }
+    };
 
     DecodeResult result;
     if (pre_result.decodedAll) {
         // NSM predecoder finished the whole syndrome locally.
+        if (trace) {
+            *trace = {};
+            record_stage(0, 0.0);
+        }
         result.predictedObs = pre_result.obsMask;
         result.weight = pre_result.weight;
         result.latencyNs = predecode_ns;
@@ -67,18 +67,11 @@ PredecodedDecoder::decode(std::span<const uint32_t> defects,
     }
 
     const std::vector<uint32_t> &handoff = pre_result.residual;
+    const DecodeResult main_result =
+        main_->decode(handoff, workspace, trace);
     if (trace) {
-        trace->hwAfter = static_cast<int>(handoff.size());
-    }
-
-    DecodeResult main_result = main_->decode(
-        handoff, workspace,
-        trace ? &rt::emplaceBack(trace->children) : nullptr);
-    if (trace) {
-        trace->mainNs = main_result.latencyNs;
-        // Swap, not move-assign (no inline free; see parallel.cpp).
-        std::swap(trace->chainLengths,
-                  trace->children.back().chainLengths);
+        record_stage(static_cast<int>(handoff.size()),
+                     main_result.latencyNs);
     }
 
     result.predictedObs =

@@ -9,10 +9,10 @@
  * or forward everything. The combined latency is checked against the
  * real-time budget; overruns abort (= logical error, §6.4).
  *
- * Per-decode introspection (HW reduction, stage latencies, Promatch
- * step usage) goes into the caller's DecodeTrace; when the main
- * decoder runs, its own trace lands in trace->children[0] (children
- * stays empty if an NSM predecoder resolves the syndrome locally).
+ * Per-decode introspection goes into the caller's DecodeTrace: the
+ * main decoder, when it runs, fills the record first, and the
+ * pipeline then writes its stage fields (HW reduction, stage
+ * latencies, Promatch step usage) over it.
  */
 
 #ifndef QEC_DECODERS_PIPELINE_HPP

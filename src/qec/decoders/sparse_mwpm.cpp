@@ -14,7 +14,7 @@ SparseMwpmDecoder::decode(std::span<const uint32_t> defects,
 {
     QEC_REALTIME;
     if (trace) {
-        trace->reset();
+        *trace = {};
         trace->hwBefore = static_cast<int>(defects.size());
     }
     DecodeResult result;
@@ -33,7 +33,7 @@ SparseMwpmDecoder::decode(std::span<const uint32_t> defects,
     result.predictedObs = problem.solutionObs(solution);
     result.weight = solution.totalWeight;
     if (trace) {
-        problem.chainLengthsInto(solution, trace->chainLengths);
+        problem.chainHopsInto(solution, trace->chainHops);
     }
     return result;
 }

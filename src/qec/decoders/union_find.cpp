@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "qec/api/registry.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/util/assert.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
@@ -10,107 +11,18 @@
 namespace qec
 {
 
-/**
- * Reusable per-decode state. Every vector is assign()ed to its
- * fixed, graph-derived size at the top of decode, so after the
- * first decode no buffer ever reallocates.
- */
-struct UnionFindDecoder::Scratch
-{
-    // --- Disjoint-set forest with parity (defect count mod 2) and
-    // boundary-contact tracking per cluster root. Slot n is the
-    // virtual boundary vertex: contact with it neutralizes any
-    // cluster.
-    std::vector<uint32_t> parent;
-    std::vector<uint8_t> odd;
-    std::vector<uint8_t> touchesBoundary;
-    uint32_t boundaryVertex = 0;
-
-    // --- Growth stage.
-    std::vector<uint8_t> growth;    //!< 0..2 halves per edge.
-    std::vector<uint8_t> inSupport; //!< Per detector.
-    std::vector<uint32_t> newlyFull;
-
-    // --- Peeling stage.
-    std::vector<int> parentEdge, parentVertex;
-    std::vector<uint8_t> visited, flagged;
-    std::vector<uint32_t> order;
-    std::vector<int> boundaryRootEdge;
-    // Adjacency restricted to grown edges, CSR over detectors.
-    std::vector<int32_t> grownOffset, grownCursor;
-    std::vector<uint32_t> grownEdge;
-    std::vector<uint32_t> queue; //!< BFS ring (head index below).
-    std::vector<uint32_t> correction;
-
-    uint32_t
-    find(uint32_t x)
-    {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    }
-
-    void
-    unite(uint32_t a, uint32_t b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b) {
-            return;
-        }
-        parent[b] = a;
-        odd[a] = odd[a] != odd[b];
-        touchesBoundary[a] =
-            touchesBoundary[a] || touchesBoundary[b];
-    }
-
-    bool
-    isActive(uint32_t x)
-    {
-        const uint32_t r = find(x);
-        return odd[r] && !touchesBoundary[r];
-    }
-
-    void
-    markDefect(uint32_t x)
-    {
-        const uint32_t r = find(x);
-        odd[r] = !odd[r];
-    }
-};
-
-UnionFindDecoder::UnionFindDecoder(const DecodingGraph &graph,
-                                   const PathTable &paths)
-    : Decoder(graph, paths)
-{
-    // Eager so decode() never runs make_unique: a lazily created
-    // scratch would put a first-call operator new straight into the
-    // audited hot body.
-    scratch_ = std::make_unique<Scratch>();
-}
-
-UnionFindDecoder::~UnionFindDecoder() = default;
-
-std::unique_ptr<Decoder>
-UnionFindDecoder::clone() const
-{
-    return std::make_unique<UnionFindDecoder>(graph_, paths_);
-}
-
 DecodeResult
 UnionFindDecoder::decode(std::span<const uint32_t> defects,
-                         DecodeWorkspace & /*workspace*/,
+                         DecodeWorkspace &workspace,
                          DecodeTrace *trace)
 {
     QEC_REALTIME;
     if (trace) {
-        trace->reset();
+        *trace = {};
         trace->hwBefore = static_cast<int>(defects.size());
     }
     DecodeResult result;
-    Scratch &s = *scratch_;
+    UnionFindScratch &s = workspace.unionFind;
     s.correction.clear();
     if (defects.empty()) {
         return result;
@@ -315,12 +227,6 @@ UnionFindDecoder::decode(std::span<const uint32_t> defects,
     // Union-find is fast in hardware; model a token latency that is
     // always within budget (AFS reports sub-500ns for these sizes).
     result.latencyNs = 420.0;
-    if (trace) {
-        // Copy (not move) so the scratch keeps its capacity.
-        rt::assignRange(trace->correctionEdges,
-                        s.correction.begin(),
-                        s.correction.end());
-    }
     return result;
 }
 

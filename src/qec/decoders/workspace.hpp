@@ -2,14 +2,14 @@
  * @file
  * The reusable scratch workspace of the decode hot path.
  *
- * Every per-decode data structure that used to be rebuilt on the
- * heap for each syndrome — the predecoder's defect subgraph, the
- * matching layer's defect graph and solver state, the pipeline's
- * residual handoff — lives here instead, owned by the caller and
- * borrowed by `Decoder::decode` / `Predecoder::predecode`. All
- * members reuse their capacity across decodes, so a warm workspace
- * makes steady-state decoding allocation-free (enforced by the
- * counting-allocator suite in tests/test_workspace.cpp).
+ * Every per-decode data structure — the predecoder's defect
+ * subgraph, the matching layer's defect graph and solver state, the
+ * pipeline's residual handoff, union-find's cluster forest — lives
+ * here, owned by the caller and borrowed by `Decoder::decode` /
+ * `Predecoder::predecode`. All members reuse their capacity across
+ * decodes, so a warm workspace makes steady-state decoding
+ * allocation-free, traced or not (enforced by the counting-allocator
+ * suite in tests/test_workspace.cpp).
  *
  * Ownership and aliasing contract:
  *  - One workspace per thread: a workspace must never be used by
@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "qec/decoders/union_find.hpp"
 #include "qec/graph/distance_view.hpp"
 #include "qec/matching/defect_graph.hpp"
 #include "qec/matching/exhaustive.hpp"
@@ -131,6 +132,9 @@ struct DecodeWorkspace
     SparseMatcher sparseMatcher;
     /** 64-lane block scratch (decodeBlock/predecodeBlock only). */
     BlockScratch block;
+    /** UnionFindDecoder's cluster forest and peeling state; its
+     *  `correction` holds the last union-find decode's edge ids. */
+    UnionFindScratch unionFind;
 };
 
 } // namespace qec

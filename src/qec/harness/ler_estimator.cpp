@@ -44,9 +44,9 @@ estimateLer(const ExperimentContext &context, Decoder &decoder,
     // their own indices, so the index-keyed work stays disjoint.
     std::vector<ImportanceSampler::Sample> samples(n);
     std::vector<DecodeResult> results(n);
-    const bool wantTraces =
-        observer && options.collectTraces;
-    std::vector<DecodeTrace> traces(wantTraces ? n : 0);
+    // Traces are plain data that never allocate, so every observer
+    // gets one.
+    std::vector<DecodeTrace> traces(observer ? n : 0);
     const bool hasFilter =
         static_cast<bool>(options.decodeFilter);
     std::vector<char> skipped(hasFilter ? n : 0, 0);
@@ -88,7 +88,7 @@ estimateLer(const ExperimentContext &context, Decoder &decoder,
                     }
                     results[i] = engine->decode(
                         samples[i].defects, workspace,
-                        wantTraces ? &traces[i] : nullptr);
+                        observer ? &traces[i] : nullptr);
                 }
             });
         // Serial replay in sample order: per-K statistics accumulate
@@ -108,8 +108,7 @@ estimateLer(const ExperimentContext &context, Decoder &decoder,
             stats.failures += failed ? 1 : 0;
             if (observer) {
                 observer({k, weight, samples[i].defects, result,
-                          wantTraces ? &traces[i] : nullptr,
-                          failed});
+                          traces[i], failed});
             }
         }
         stats.failureProb = static_cast<double>(stats.failures) /

@@ -49,14 +49,6 @@ struct LerOptions
     int threads = 1;
 
     /**
-     * Collect a full DecodeTrace per decoded sample and hand it to
-     * the observer as SampleView::trace. Off by default: trace
-     * bookkeeping costs allocation on the hot decode loop, and
-     * most observers only need the result.
-     */
-    bool collectTraces = false;
-
-    /**
      * Optional pre-decode filter: return false to skip decoding a
      * sample entirely. Skipped samples still count toward
      * KStats::samples (as non-failures — the estimate treats the
@@ -104,11 +96,10 @@ struct SampleView
     const DecodeResult &result;
     /**
      * Full decode introspection (predecoder HW reduction, step
-     * usage, latencies, sub-decoder traces). Non-null only when
-     * LerOptions::collectTraces is set; the benches' trace-level
+     * usage, latencies, chain hops); the benches' trace-level
      * statistics all ride on this hook.
      */
-    const DecodeTrace *trace;
+    const DecodeTrace &trace;
     bool failed;
 };
 

@@ -1,7 +1,6 @@
 #include "qec/harness/report.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace qec
 {
@@ -129,17 +128,6 @@ formatRatio(double value, double baseline)
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.1fx", value / baseline);
     return buf;
-}
-
-double
-benchScale()
-{
-    const char *env = std::getenv("QEC_BENCH_SCALE");
-    if (!env) {
-        return 1.0;
-    }
-    const double scale = std::atof(env);
-    return scale > 0.0 ? scale : 1.0;
 }
 
 } // namespace qec

@@ -55,10 +55,6 @@ std::string formatFixed(double value, int decimals = 1);
 /** "2.5x" ratio formatting (against a baseline). */
 std::string formatRatio(double value, double baseline);
 
-/** Reads a scale factor from the environment (QEC_BENCH_SCALE);
- *  benches multiply their sample counts by it. Default 1.0. */
-double benchScale();
-
 /** JSON string literal: escapes and surrounds with quotes. */
 std::string jsonQuote(const std::string &text);
 

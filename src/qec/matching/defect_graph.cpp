@@ -62,18 +62,17 @@ DefectGraph::solutionObs(const DistanceView &view,
 }
 
 void
-DefectGraph::chainLengthsInto(const DistanceView &view,
-                              const MatchingSolution &solution,
-                              std::vector<int> &out) const
+DefectGraph::chainHopsInto(const DistanceView &view,
+                           const MatchingSolution &solution,
+                           ChainHops &out) const
 {
-    out.clear();
+    out = {};
     for (size_t i = 0; i < viewMap.size(); ++i) {
         const int m = solution.mate[i];
         if (m == -1) {
-            rt::pushBack(out, view.boundaryHops(viewMap[i]));
+            countChain(out, view.boundaryHops(viewMap[i]));
         } else if (m > static_cast<int>(i)) {
-            rt::pushBack(out,
-                         view.hops(viewMap[i], viewMap[m]));
+            countChain(out, view.hops(viewMap[i], viewMap[m]));
         }
     }
 }

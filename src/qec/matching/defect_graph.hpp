@@ -6,7 +6,7 @@
  * one syndrome, with shortest-path weights from the PathTable (the
  * "MWPM graph" of §4.2.3). It also knows how to turn a matching
  * solution back into physics: the observable flips implied by the
- * matched paths and the error-chain lengths (Fig. 5).
+ * matched paths and the hop histogram of its error chains (Fig. 5).
  *
  * Astrea and Astrea-G rebuild one workspace-owned DefectGraph in
  * place through the workspace's DistanceView: the S×S block of the
@@ -47,11 +47,11 @@ struct DefectGraph
     uint64_t solutionObs(const DistanceView &view,
                          const MatchingSolution &solution) const;
 
-    /** Error-chain length (hops) of each matched pair/boundary into
-     *  a caller-owned buffer (capacity reused; uses viewMap). */
-    void chainLengthsInto(const DistanceView &view,
-                          const MatchingSolution &sol,
-                          std::vector<int> &out) const;
+    /** Hop histogram of the matched pairs/boundaries' error chains,
+     *  read through the view (uses viewMap). */
+    void chainHopsInto(const DistanceView &view,
+                       const MatchingSolution &sol,
+                       ChainHops &out) const;
 };
 
 /**

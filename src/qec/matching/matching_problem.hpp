@@ -10,7 +10,10 @@
 #ifndef QEC_MATCHING_MATCHING_PROBLEM_HPP
 #define QEC_MATCHING_MATCHING_PROBLEM_HPP
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -50,6 +53,20 @@ struct MatchingSolution
     /** False if the solver could not produce a perfect matching. */
     bool valid = false;
 };
+
+/**
+ * Error chains of a matching by hop count (Fig. 5): bin h counts the
+ * chains of h hops, and the last bin those of 15 hops or more.
+ */
+using ChainHops = std::array<uint32_t, 16>;
+
+/** Count one chain of `hops` hops into its bin. */
+inline void
+countChain(ChainHops &histogram, int hops)
+{
+    ++histogram[std::min<size_t>(static_cast<size_t>(hops),
+                                 histogram.size() - 1)];
+}
 
 /**
  * Recompute a solution's weight from the problem (for validation).

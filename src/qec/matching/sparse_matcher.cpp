@@ -125,18 +125,18 @@ SparseMatchingProblem::solutionObs(
 }
 
 void
-SparseMatchingProblem::chainLengthsInto(
-    const MatchingSolution &solution, std::vector<int> &out) const
+SparseMatchingProblem::chainHopsInto(const MatchingSolution &solution,
+                                     ChainHops &out) const
 {
     QEC_ASSERT(solution.mate.size() == static_cast<size_t>(n_),
                "solution size mismatch");
-    out.clear();
+    out = {};
     for (int i = 0; i < n_; ++i) {
         const int m = solution.mate[i];
         if (m == -1) {
-            rt::pushBack(out, int{bcells_[i].hops});
+            countChain(out, bcells_[i].hops);
         } else if (m > i) {
-            rt::pushBack(out, int{pairCell(i, m).hops});
+            countChain(out, pairCell(i, m).hops);
         }
     }
 }

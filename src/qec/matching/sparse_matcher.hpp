@@ -114,9 +114,9 @@ class SparseMatchingProblem
     /** XOR of observable masks along all matched paths. */
     uint64_t solutionObs(const MatchingSolution &solution) const;
 
-    /** Error-chain lengths (hops) of each matched pair/boundary. */
-    void chainLengthsInto(const MatchingSolution &solution,
-                          std::vector<int> &out) const;
+    /** Hop histogram of the matched pairs/boundaries' chains. */
+    void chainHopsInto(const MatchingSolution &solution,
+                       ChainHops &out) const;
 
     /** Nodes the deferred backend's growths have settled so far. */
     uint64_t settledNodes() const { return oracle_.settledNodes(); }

@@ -92,13 +92,6 @@ pushBack(std::vector<T, A> &v, const T &value)
     v.push_back(value);
 }
 
-template <typename T, typename A>
-QEC_RT_OUTLINE T &
-emplaceBack(std::vector<T, A> &v)
-{
-    return v.emplace_back();
-}
-
 template <typename T, typename A, typename It>
 QEC_RT_OUTLINE void
 appendRange(std::vector<T, A> &v, It first, It last)

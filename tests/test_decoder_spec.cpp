@@ -356,15 +356,6 @@ TEST(DecoderSpec, ClonedStacksDecodeConcurrentlyWithSameResults)
     ta.join();
     tb.join();
 
-    const auto same_trace = [](const DecodeTrace &x,
-                               const DecodeTrace &y) {
-        return x.hwBefore == y.hwBefore && x.hwAfter == y.hwAfter &&
-               x.predecoderEngaged == y.predecoderEngaged &&
-               x.parallelWinner == y.parallelWinner &&
-               x.predecodeRounds == y.predecodeRounds &&
-               x.steps.deepest() == y.steps.deepest() &&
-               x.children.size() == y.children.size();
-    };
     for (size_t i = 0; i < batch.size(); ++i) {
         EXPECT_EQ(results_a[i].predictedObs,
                   reference[i].predictedObs);
@@ -376,8 +367,8 @@ TEST(DecoderSpec, ClonedStacksDecodeConcurrentlyWithSameResults)
         EXPECT_EQ(results_b[i].aborted, reference[i].aborted);
         // Traces are independent per clone but identical in
         // content.
-        EXPECT_TRUE(same_trace(traces_a[i], ref_traces[i])) << i;
-        EXPECT_TRUE(same_trace(traces_b[i], ref_traces[i])) << i;
+        EXPECT_TRUE(traces_a[i] == ref_traces[i]) << i;
+        EXPECT_TRUE(traces_b[i] == ref_traces[i]) << i;
     }
 
     // The built-in threaded batch path agrees with the serial one.

@@ -211,13 +211,12 @@ TEST(Decoders, UnionFindCorrectionReproducesSyndrome)
     for (int k = 1; k <= 6; ++k) {
         for (int s = 0; s < 100; ++s) {
             const auto sample = sampler.sample(k, rng);
-            DecodeTrace trace;
             const DecodeResult result =
-                uf.decode(sample.defects, workspace, &trace);
+                uf.decode(sample.defects, workspace);
             ASSERT_FALSE(result.aborted);
             // XOR of correction-edge endpoints == syndrome.
             std::set<uint32_t> flipped;
-            for (uint32_t eid : trace.correctionEdges) {
+            for (uint32_t eid : workspace.unionFind.correction) {
                 const GraphEdge &edge = ctx.graph().edges()[eid];
                 for (uint32_t v : {edge.u, edge.v}) {
                     if (v == kBoundary) {

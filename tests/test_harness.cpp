@@ -3,12 +3,13 @@
  * Tests for the evaluation harness: histograms, conditional
  * statistics, the importance sampler's distributional properties
  * and its exact-rank draw, report formatting, and the hardware
- * resource models.
+ * resource models, and the benches' strict number parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -23,6 +24,8 @@
 #include "qec/harness/report.hpp"
 #include "qec/hwmodel/resources.hpp"
 #include "qec/util/rng.hpp"
+
+#include "../bench/bench_common.hpp"
 
 namespace qec
 {
@@ -564,6 +567,31 @@ TEST(Context, CacheReturnsSameInstance)
     EXPECT_EQ(a.rounds(), 3);
     EXPECT_EQ(a.graph().numDetectors(),
               a.experiment().circuit.numDetectors());
+}
+
+TEST(BenchParseDeathTest, AcceptsOnlyWholeFiniteInRangeValues)
+{
+    using qecbench::parseNumber;
+    EXPECT_EQ(parseNumber("QEC_SERVE_RING", "256", 1, INT_MAX), 256);
+    EXPECT_EQ(parseNumber("QEC_SERVE_POOL", "2e3", 1, INT_MAX), 2000);
+    EXPECT_EQ(parseNumber("QEC_BENCH_SCALE", "0.5", 1e-3, 1e4), 0.5);
+    EXPECT_EQ(parseNumber<uint64_t>("--samples-per-k", "1000000000000",
+                                    1, 1'000'000'000'000),
+              1'000'000'000'000u);
+    // Each of these would reach an out-of-range double -> integer
+    // cast, or run a bench on a value nobody meant.
+    for (const char *bad : {"1e10", "inf", "nan", "2.5", "", "12x", "0"}) {
+        EXPECT_EXIT(parseNumber("QEC_SERVE_RING", bad, 1, INT_MAX),
+                    testing::ExitedWithCode(2),
+                    "QEC_SERVE_RING must be an integer")
+            << "'" << bad << "'";
+    }
+    for (const char *bad : {"inf", "1e30", "0", "-1"}) {
+        EXPECT_EXIT(parseNumber("QEC_BENCH_SCALE", bad, 1e-3, 1e4),
+                    testing::ExitedWithCode(2),
+                    "QEC_BENCH_SCALE must be a number")
+            << "'" << bad << "'";
+    }
 }
 
 } // namespace

@@ -200,7 +200,6 @@ recordRun(const ExperimentContext &ctx, Decoder &decoder,
     options.kMax = 5;
     options.samplesPerK = 150;
     options.threads = threads;
-    options.collectTraces = true;
     std::vector<ObservedSample> seen;
     estimateLer(ctx, decoder, options,
                 [&](const SampleView &view) {
@@ -208,7 +207,7 @@ recordRun(const ExperimentContext &ctx, Decoder &decoder,
                                     view.defects,
                                     view.result.predictedObs,
                                     view.failed,
-                                    view.trace->hwAfter});
+                                    view.trace.hwAfter});
                 });
     return seen;
 }
@@ -309,11 +308,9 @@ TEST(ParallelLer, DecodeBatchMatchesSequentialForEveryRegistrySpec)
                     std::to_string(i);
                 expectSameResult(sequential[i], batched[i],
                                  label);
-                // Introspection must match too — chain lengths
-                // moved from DecodeResult to DecodeTrace in the
-                // workspace refactor.
-                EXPECT_EQ(sequential_traces[i].chainLengths,
-                          traces[i].chainLengths)
+                // Introspection must match too.
+                EXPECT_EQ(sequential_traces[i].chainHops,
+                          traces[i].chainHops)
                     << label;
             }
         }
@@ -371,9 +368,9 @@ TEST(ParallelLer, DecodeFilterSkipsDeterministicallyAcrossThreads)
 
 TEST(ParallelLer, EstimateIgnoresObservationOptions)
 {
-    // Watching a run must not change it: no observer, an observer,
-    // an observer with traces, and an accept-all decodeFilter all
-    // give the same estimate.
+    // Watching a run must not change it: no observer, an observer
+    // (which always receives traces), and an accept-all decodeFilter
+    // all give the same estimate.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     auto decoder = build(DecoderSpec::parse("promatch+astrea"),
                          ctx.graph(), ctx.paths());
@@ -390,18 +387,17 @@ TEST(ParallelLer, EstimateIgnoresObservationOptions)
     ASSERT_GT(failures, 0u);
 
     uint64_t observed = 0;
-    const SampleObserver count = [&](const SampleView &) {
+    uint64_t traced = 0;
+    const SampleObserver count = [&](const SampleView &view) {
         ++observed;
+        traced += static_cast<size_t>(view.trace.hwBefore) ==
+                  view.defects.size();
     };
     expectSameEstimate(plain,
                        estimateLer(ctx, *decoder, options, count),
                        "observer");
-    options.collectTraces = true;
-    expectSameEstimate(plain,
-                       estimateLer(ctx, *decoder, options, count),
-                       "observer with traces");
-    EXPECT_EQ(observed, 2u * 6u * 200u);
-    options.collectTraces = false;
+    EXPECT_EQ(observed, 6u * 200u);
+    EXPECT_EQ(traced, observed);
     options.decodeFilter = [](int, const std::vector<uint32_t> &) {
         return true;
     };

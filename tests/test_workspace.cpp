@@ -5,9 +5,10 @@
  *  - a counting global allocator proves that steady-state decoding
  *    (after a warmup pass over the same syndrome set) performs
  *    ZERO heap allocations for every kZeroAllocSpecs stack (all
- *    four predecoders, astrea_g and sparse) through a caller-owned
- *    workspace, on the 64-lane block path, and end to end through
- *    a DecodeServer;
+ *    four predecoders, astrea_g, sparse, union_find and a parallel
+ *    pair) through a caller-owned workspace, with and without a
+ *    reused DecodeTrace, on the 64-lane block path, and end to end
+ *    through a DecodeServer;
  *  - decode results are bit-identical whether one workspace is
  *    reused across decodes (in both syndrome orders) or each decode
  *    gets a fresh one, serially and through decodeBatch at threads
@@ -164,43 +165,58 @@ const char *const kZeroAllocSpecs[] = {"promatch+astrea",
                                        "pinball+astrea",
                                        "smith+astrea",
                                        "clique+astrea",
-                                       "promatch+sparse"};
+                                       "promatch+sparse",
+                                       "union_find",
+                                       "promatch+astrea||astrea_g"};
 
-TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
+/** Mixed-HW syndrome set of the d = 7 context; asserts that it
+ *  engages the predecoders. */
+std::vector<std::vector<uint32_t>>
+predecodingSyndromeSet(const ExperimentContext &ctx)
 {
-    const auto &ctx = ExperimentContext::get(7, 1e-3);
-    const auto batch = syndromeSet(ctx);
+    auto batch = syndromeSet(ctx);
     bool saw_high_hw = false;
     for (const auto &s : batch) {
         saw_high_hw = saw_high_hw || s.size() > 10;
     }
-    ASSERT_TRUE(saw_high_hw)
+    EXPECT_TRUE(saw_high_hw)
         << "syndrome set never engages the predecoder";
+    return batch;
+}
 
-    const auto expectSteadyState = [&](const char *spec,
-                                       const ExperimentContext &on,
-                                       const char *table) {
-        auto decoder = build(DecoderSpec::parse(spec), on.graph(),
-                             on.paths());
-        DecodeWorkspace workspace;
-        // Warmup: every scratch buffer reaches its high-water
-        // capacity for this syndrome set.
-        uint64_t sink = 0;
-        for (const auto &s : batch) {
-            sink ^= decoder->decode(s, workspace).predictedObs;
-        }
-        const uint64_t before = g_allocations.load();
-        for (const auto &s : batch) {
-            sink ^= decoder->decode(s, workspace).predictedObs;
-        }
-        const uint64_t after = g_allocations.load();
-        EXPECT_EQ(after - before, 0u)
-            << spec << " on the " << table
-            << " table allocated in steady state (sink=" << sink
-            << ")";
-    };
+/** Decode `batch` once to warm a workspace (and `trace`, if any),
+ *  then again, expecting the second pass to allocate nothing. */
+void
+expectSteadyState(const char *spec, const ExperimentContext &on,
+                  const std::vector<std::vector<uint32_t>> &batch,
+                  DecodeTrace *trace, const std::string &label)
+{
+    auto decoder =
+        build(DecoderSpec::parse(spec), on.graph(), on.paths());
+    DecodeWorkspace workspace;
+    // Warmup: every scratch buffer reaches its high-water capacity
+    // for this syndrome set.
+    uint64_t sink = 0;
+    for (const auto &s : batch) {
+        sink ^= decoder->decode(s, workspace, trace).predictedObs;
+    }
+    const uint64_t before = g_allocations.load();
+    for (const auto &s : batch) {
+        sink ^= decoder->decode(s, workspace, trace).predictedObs;
+    }
+    const uint64_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u)
+        << spec << " " << label
+        << " allocated in steady state (sink=" << sink << ")";
+}
+
+TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
+{
+    const auto &ctx = ExperimentContext::get(7, 1e-3);
+    const auto batch = predecodingSyndromeSet(ctx);
     for (const char *spec : kZeroAllocSpecs) {
-        expectSteadyState(spec, ctx, "dense");
+        expectSteadyState(spec, ctx, batch, nullptr,
+                          "on the dense table");
     }
     // The deferred backend (same detectors, so the same syndromes):
     // every pair distance comes from the workspace-owned
@@ -209,7 +225,20 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
     const ExperimentContext deferred(7, 1e-3, -1, true);
     ASSERT_FALSE(deferred.paths().pairsAvailable());
     for (const char *spec : {"sparse", "promatch+sparse"}) {
-        expectSteadyState(spec, deferred, "deferred");
+        expectSteadyState(spec, deferred, batch, nullptr,
+                          "on the deferred table");
+    }
+}
+
+TEST(WorkspaceZeroAlloc, TracedDecodeSteadyState)
+{
+    // A DecodeTrace is plain data: filling one reused trace on every
+    // decode, composites included, must not allocate either.
+    const auto &ctx = ExperimentContext::get(7, 1e-3);
+    const auto batch = predecodingSyndromeSet(ctx);
+    for (const char *spec : kZeroAllocSpecs) {
+        DecodeTrace trace;
+        expectSteadyState(spec, ctx, batch, &trace, "traced");
     }
 }
 
